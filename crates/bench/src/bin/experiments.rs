@@ -39,8 +39,9 @@
 //!
 //! The `serve` subcommand is the throughput harness for the `cqt-service`
 //! serving layer: it batches a mixed workload (acyclic / tractable-cyclic /
-//! NP-hard conjunctive queries plus XPath) over a corpus of prepared trees,
-//! runs it single-threaded and multi-threaded, and reports QPS, p50/p99
+//! NP-hard conjunctive queries plus XPath) over a corpus holding one
+//! document per tree, one request per (query, document) pair, runs it
+//! single-threaded and multi-threaded, and reports QPS, p50/p99
 //! latency, the multi-vs-single within-run speedup and the plan-cache
 //! counters. `--bench-json` writes the numbers; `--bench-check` compares the
 //! within-run speedup against a reference JSON (the committed `BENCH_3.json`)
@@ -50,13 +51,14 @@
 //!
 //! With `--mutate`, the `serve` subcommand instead benchmarks the
 //! **epoch-swapped mutable corpus**: one writer thread commits random edit
-//! scripts against a `CorpusHandle` while N reader threads serve the query
-//! mix, every observed answer is verified against the per-epoch
-//! `MutationOracle` (the harness exits non-zero on any epoch-consistency
-//! violation), and the read throughput is compared against a frozen-corpus
-//! run of the same workload. `--bench-json` writes the numbers (the
-//! committed `BENCH_4.json`); `--bench-check` gates on the frozen/mutate
-//! throughput ratio — a within-run ratio, so machine speed cancels out.
+//! scripts against a one-document corpus while N reader threads serve the
+//! query mix, every observed answer is verified against the per-epoch
+//! `CorpusMutationOracle` (the harness exits non-zero on any
+//! epoch-consistency violation), and the read throughput is compared
+//! against a writer-less run of the same read stream. `--bench-json`
+//! writes the numbers (the committed `BENCH_4.json`); `--bench-check` gates
+//! on the frozen/mutate throughput ratio — a within-run ratio, so machine
+//! speed cancels out.
 //!
 //! With `--corpus N [--shards S]`, the `serve` subcommand benchmarks the
 //! **sharded multi-document corpus** (`cqt-service::shard`): `N` named
@@ -173,9 +175,9 @@ SUBCOMMANDS (default: all):
     bench               perf baseline: semijoin kernels + AC fixpoint vs the
                         in-repo scalar baseline (committed as BENCH_2.json)
     serve               serving throughput: single- vs multi-threaded batch
-                        over prepared trees (committed as BENCH_3.json)
+                        over one document per tree (committed as BENCH_3.json)
     serve --mutate      epoch-swapped single-document corpus: 1 writer + N
-                        readers under the MutationOracle (BENCH_4.json)
+                        readers under the CorpusMutationOracle (BENCH_4.json)
     serve --corpus N    sharded multi-document corpus: scatter-gather fan-out
                         plus multiple concurrent writers under per-document
                         oracles (BENCH_5.json)
@@ -989,12 +991,13 @@ fn bench_baseline(smoke: bool, json_path: Option<&str>, check_path: Option<&str>
     }
 }
 
-/// The throughput harness for the serving layer: a mixed (query × tree)
-/// batch executed single-threaded and multi-threaded, with the within-run
-/// speedup as the gated metric.
+/// The throughput harness for the serving layer: a mixed (query × document)
+/// batch over a one-document-per-tree corpus, executed single-threaded and
+/// multi-threaded, with the within-run speedup as the gated metric.
 fn serve(smoke: bool, threads: Option<usize>, json_path: Option<&str>, check_path: Option<&str>) {
-    use cqt_service::{QuerySpec, ServiceConfig, ServiceRunner, Workload};
-    use cqt_trees::PreparedTree;
+    use cqt_service::{
+        Corpus, CorpusRequest, CorpusWorkload, FanOut, QuerySpec, ServiceConfig, ServiceRunner,
+    };
     use std::sync::Arc;
 
     header("Serving throughput — compiled plans over prepared trees");
@@ -1005,19 +1008,23 @@ fn serve(smoke: bool, threads: Option<usize>, json_path: Option<&str>, check_pat
     };
     let multi_threads = threads.unwrap_or(4).max(1);
 
-    // The document corpus: random trees over the benchmark alphabet plus a
-    // synthetic treebank (the introduction's workload shape).
-    let mut trees: Vec<Arc<PreparedTree>> = Vec::new();
+    // The document corpus, one document per tree: random trees over the
+    // benchmark alphabet plus a synthetic treebank (the introduction's
+    // workload shape).
+    let corpus = Corpus::new(2);
+    let mut trees = Vec::new();
     for (i, &nodes) in tree_sizes.iter().enumerate() {
-        trees.push(Arc::new(PreparedTree::new(benchmark_tree(
-            nodes,
-            40 + i as u64,
-        ))));
+        trees.push(benchmark_tree(nodes, 40 + i as u64));
     }
-    trees.push(Arc::new(PreparedTree::new(benchmark_corpus(sentences, 9))));
+    trees.push(benchmark_corpus(sentences, 9));
+    for (i, tree) in trees.into_iter().enumerate() {
+        corpus
+            .insert(format!("tree-{i}"), tree)
+            .expect("distinct document ids");
+    }
 
     // The query mix: every engine strategy plus the XPath front-end.
-    let queries = vec![
+    let queries = [
         QuerySpec::from_cq(chain_query(Axis::ChildPlus, 5)),
         QuerySpec::parse_cq("Q(y) :- A(x), Child+(x, y), B(y).").expect("valid query"),
         QuerySpec::parse_cq("Q() :- A(x), Child(x, y), B(y), NextSibling(y, z), C(z).")
@@ -1026,46 +1033,46 @@ fn serve(smoke: bool, threads: Option<usize>, json_path: Option<&str>, check_pat
         QuerySpec::parse_xpath("//A[B]/following::C").expect("valid xpath"),
         QuerySpec::parse_xpath("//NP[NN]/following::PP | //B/ancestor::A").expect("valid xpath"),
     ];
-    let workload = Workload::new(queries, trees, repeats);
+    // One request per (query, document) pair, queries interleaved fastest.
+    let documents = corpus.documents();
+    let requests: Vec<CorpusRequest> = documents
+        .iter()
+        .flat_map(|document| {
+            queries.iter().map(|query| CorpusRequest {
+                query: query.clone(),
+                target: FanOut::One(document.id().clone()),
+            })
+        })
+        .collect();
+    let workload = CorpusWorkload::new(requests, repeats);
     println!(
-        "workload: {} queries x {} trees x {} repeats = {} requests",
-        workload.queries.len(),
-        workload.trees.len(),
+        "workload: {} queries x {} documents x {} repeats = {} requests",
+        queries.len(),
+        documents.len(),
         workload.repeats,
         workload.request_count()
     );
-    for (i, tree) in workload.trees.iter().enumerate() {
+    for document in documents.iter() {
+        let prepared = document.handle().snapshot().prepared;
         println!(
-            "  tree[{i}]: {} nodes (structure hash {:016x})",
-            tree.tree().len(),
-            tree.structure_hash()
+            "  {}: {} nodes (structure hash {:016x})",
+            document.id(),
+            prepared.tree().len(),
+            prepared.structure_hash()
         );
     }
 
     // Warm the per-tree caches AND the shared plan cache once, so both timed
     // runs measure steady-state serving: no lazy label-set conversion and no
     // plan compilation inside the timed loops.
-    let cache = std::sync::Arc::new(cqt_service::PlanCache::new());
-    let warm = ServiceRunner::with_cache(
-        ServiceConfig::with_threads(1),
-        std::sync::Arc::clone(&cache),
-    );
-    warm.run(&Workload::new(
-        workload.queries.clone(),
-        workload.trees.clone(),
-        1,
-    ));
+    let cache = Arc::new(cqt_service::PlanCache::new());
+    let runner = |threads| {
+        ServiceRunner::with_cache(ServiceConfig::with_threads(threads), Arc::clone(&cache))
+    };
+    runner(1).run_corpus(&corpus, &CorpusWorkload::new(workload.requests.clone(), 1));
 
-    let single = ServiceRunner::with_cache(
-        ServiceConfig::with_threads(1),
-        std::sync::Arc::clone(&cache),
-    )
-    .run(&workload);
-    let multi = ServiceRunner::with_cache(
-        ServiceConfig::with_threads(multi_threads),
-        std::sync::Arc::clone(&cache),
-    )
-    .run(&workload);
+    let single = runner(1).run_corpus(&corpus, &workload);
+    let multi = runner(multi_threads).run_corpus(&corpus, &workload);
     assert_eq!(
         single.answer_fingerprint, multi.answer_fingerprint,
         "single- and multi-threaded runs must produce identical answers"
@@ -1128,12 +1135,12 @@ fn serve(smoke: bool, threads: Option<usize>, json_path: Option<&str>, check_pat
 }
 
 /// The mutable-corpus throughput harness (`serve --mutate`): a writer
-/// committing random edit scripts against an epoch-swapped [`CorpusHandle`]
-/// while reader threads serve the treebank query mix; every observation is
-/// verified against the per-epoch oracle, and the read throughput is
-/// compared to a frozen-corpus run of the same workload.
+/// committing random edit scripts against a one-document corpus while
+/// reader threads serve the treebank query mix; every observation is
+/// verified against the per-epoch [`CorpusMutationOracle`], and the read
+/// throughput is compared to a writer-less run of the same read stream.
 ///
-/// [`CorpusHandle`]: cqt_service::CorpusHandle
+/// [`CorpusMutationOracle`]: cqt_service::CorpusMutationOracle
 fn serve_mutate(
     smoke: bool,
     threads: Option<usize>,
@@ -1141,13 +1148,12 @@ fn serve_mutate(
     check_path: Option<&str>,
 ) {
     use cqt_service::{
-        CorpusHandle, MutationOracle, MutationWorkload, QuerySpec, ServiceConfig, ServiceRunner,
-        Workload,
+        Corpus, CorpusMutationOracle, CorpusMutationWorkload, DocId, QuerySpec, ServiceConfig,
+        ServiceRunner,
     };
     use cqt_trees::edit::EditScript;
     use cqt_trees::generate::{random_edit_script, treebank, EditScriptConfig, TreebankConfig};
-    use cqt_trees::PreparedTree;
-    use std::sync::Arc;
+    use std::collections::BTreeMap;
 
     header("Mutable-corpus serving — epoch swaps under concurrent reads");
     let (sentences, reads, script_count) = if smoke {
@@ -1214,31 +1220,55 @@ fn serve_mutate(
         reader_threads,
     );
 
-    // Frozen baseline: the same read stream with no writer, same threads.
-    let frozen_runner = ServiceRunner::new(ServiceConfig::with_threads(reader_threads));
-    let frozen_workload = Workload::new(
-        queries.clone(),
-        vec![Arc::new(PreparedTree::new(initial.clone()))],
-        reads / queries.len(),
-    );
-    frozen_runner.run(&frozen_workload); // warm plans + caches
-    let frozen = frozen_runner.run(&frozen_workload);
+    // The served document: a one-document corpus per run.
+    let doc = DocId::new("treebank");
+    let one_document = || {
+        let corpus = Corpus::new(1);
+        corpus
+            .insert(doc.clone(), initial.clone())
+            .expect("fresh corpus");
+        corpus
+    };
 
-    // Mutating run: one writer + the readers.
-    let corpus = CorpusHandle::new(initial.clone());
+    // Frozen baseline: the same read stream with no writer, same threads.
+    let frozen_corpus = one_document();
+    let frozen_runner = ServiceRunner::new(ServiceConfig::with_threads(reader_threads));
+    let frozen_workload =
+        CorpusMutationWorkload::new(queries.clone(), vec![doc.clone()], Vec::new(), reads);
+    let run_frozen = || {
+        frozen_runner
+            .run_corpus_mutating(&frozen_corpus, &frozen_workload)
+            .expect("the document is in the corpus")
+    };
+    run_frozen(); // warm plans + caches
+    let frozen = run_frozen();
+
+    // Mutating run: one writer + the readers, on a fresh document.
+    let corpus = one_document();
     let runner = ServiceRunner::new(ServiceConfig::with_threads(reader_threads));
-    let workload = MutationWorkload::new(queries.clone(), scripts.clone(), reads);
+    let workload = CorpusMutationWorkload::new(
+        queries.clone(),
+        vec![doc.clone()],
+        vec![(doc.clone(), scripts.clone())],
+        reads,
+    );
     let report = runner
-        .run_mutating(&corpus, &workload)
+        .run_corpus_mutating(&corpus, &workload)
         .expect("generated scripts commit cleanly");
 
     // Hard correctness gate: every observation must match its epoch oracle.
-    let oracle = MutationOracle::build(&initial, &scripts, &queries, &runner.config().plan)
-        .expect("oracle replay applies");
+    let oracle = CorpusMutationOracle::build(
+        &BTreeMap::from([(doc.clone(), initial.clone())]),
+        &BTreeMap::from([(doc.clone(), scripts.clone())]),
+        &queries,
+        &runner.config().plan,
+    )
+    .expect("oracle replay applies");
     if let Err(violation) = oracle.check(&report) {
         eprintln!("EPOCH-CONSISTENCY FAILED: {violation}");
         std::process::exit(1);
     }
+    let epochs_observed = report.epochs_observed_for(&doc).len();
 
     println!(
         "\n{:<10} {:>10} {:>12} {:>12} {:>12} {:>9} {:>9}",
@@ -1247,7 +1277,7 @@ fn serve_mutate(
     println!(
         "{:<10} {:>10} {:>12.0} {:>12} {:>12} {:>9} {:>9}",
         "frozen",
-        frozen.requests,
+        frozen.reads,
         frozen.qps,
         fmt_ns(frozen.latency.p50_ns as f64),
         fmt_ns(frozen.latency.p99_ns as f64),
@@ -1261,8 +1291,8 @@ fn serve_mutate(
         report.qps,
         fmt_ns(report.latency.p50_ns as f64),
         fmt_ns(report.latency.p99_ns as f64),
-        report.commits.len(),
-        report.epochs_observed().len(),
+        report.total_commits(),
+        epochs_observed,
     );
     let overhead = frozen.qps / report.qps.max(1e-12);
     println!(
@@ -1273,7 +1303,7 @@ fn serve_mutate(
         "epoch consistency: OK ({} observations across {} epochs); {} plan compiles \
          (re-preparation per epoch hash), {} cache entries carried across commits",
         report.observations.len(),
-        report.epochs_observed().len(),
+        epochs_observed,
         report.plan_cache.misses,
         report.carried_entries(),
     );
@@ -1289,8 +1319,8 @@ fn serve_mutate(
             if smoke { "smoke" } else { "full" },
             reader_threads,
             report.reads,
-            report.commits.len(),
-            report.epochs_observed().len(),
+            report.total_commits(),
+            epochs_observed,
             report.carried_entries(),
             frozen.qps,
             report.qps,

@@ -32,7 +32,7 @@ use cqt_trees::NodeId;
 
 use crate::index::LabelIndex;
 use crate::plan::{Plan, PlanCache, PlanKey, PlanOptions};
-use crate::runner::should_prune;
+use crate::runner::{serve_document, PruneCheck};
 use crate::shard::{DocId, Document, FanOut};
 use crate::stats::PruneStats;
 use crate::workload::{CorpusRequest, CorpusWorkload, QuerySpec};
@@ -218,11 +218,13 @@ impl PreparedBatch {
     /// duplicates within the batch share one execution). Returns the number
     /// of evaluator runs actually performed on this document.
     ///
-    /// With pruning enabled, each distinct query re-validates the union
-    /// posting-list decision against the snapshot's own summary — a
-    /// document outside the union survivors falls back to the exact
-    /// per-plan [`Plan::prunes`] check, so a pruned answer is provably the
-    /// empty answer and fingerprints match the unpruned run bit for bit.
+    /// Each distinct query goes through the scatter paths' shared
+    /// per-document step, with the shared-step table as its executor. With
+    /// pruning enabled the step re-validates the union posting-list
+    /// decision against the snapshot's own summary — a document outside the
+    /// union survivors falls back to the exact per-plan [`Plan::prunes`]
+    /// check, so a pruned answer is provably the empty answer and
+    /// fingerprints match the unpruned run bit for bit.
     pub fn execute_document(
         &self,
         document: &Document,
@@ -236,25 +238,20 @@ impl PreparedBatch {
         let mut executions = 0u64;
         let mut unique_answers: Vec<Answer> = Vec::with_capacity(self.plans.len());
         for (u, plan) in self.plans.iter().enumerate() {
-            if let Some(survivors) = &self.prune {
-                prune_stats.candidates += 1;
-                let index_candidate = match survivors {
-                    Some(s) => s.contains(document.id()),
-                    None => true,
-                };
-                if should_prune(plan, index_candidate, snapshot.prepared.doc_summary()) {
-                    prune_stats.pruned += 1;
-                    unique_answers.push(plan.empty_answer());
-                    continue;
-                }
-                prune_stats.survivors += 1;
-            }
-            let answer = self.execute_unique(u, &snapshot.prepared, scratch);
-            executions += 1;
-            if self.prune.is_some() && answer == plan.empty_answer() {
-                prune_stats.false_positives += 1;
-            }
-            unique_answers.push(answer);
+            let empty = plan.empty_answer();
+            let check = self.prune.as_ref().map(|survivors| PruneCheck {
+                plan,
+                empty: &empty,
+                index_candidate: survivors
+                    .as_ref()
+                    .map_or(true, |s| s.contains(document.id())),
+            });
+            let answer =
+                serve_document(check, snapshot.prepared.doc_summary(), prune_stats, || {
+                    executions += 1;
+                    self.execute_unique(u, &snapshot.prepared, scratch)
+                });
+            unique_answers.push(answer.into_owned());
         }
         answers.extend(self.unique_of.iter().map(|&u| unique_answers[u].clone()));
         executions

@@ -45,7 +45,7 @@ use cqt_trees::{PreparedTree, Tree};
 
 use crate::durability::{DocWal, DurabilityStats};
 use crate::plan::{Plan, PlanOptions};
-use crate::stats::{answer_fingerprint, MutationReport};
+use crate::stats::answer_fingerprint;
 use crate::workload::QuerySpec;
 
 /// One reader's view of a [`CorpusHandle`]: an immutable epoch.
@@ -199,8 +199,10 @@ impl CorpusHandle {
     }
 }
 
-/// Ground truth for a mutation run: the expected answer fingerprint of every
-/// (query, epoch) pair, derived by replaying the scripts single-threaded.
+/// Ground truth for one document of a mutation run: the expected answer
+/// fingerprint of every (query, epoch) pair, derived by replaying the
+/// document's scripts single-threaded. A [`crate::shard::CorpusMutationOracle`]
+/// holds one per document and checks a run's observations against it.
 ///
 /// Epoch trees are replayed through exactly the applier the corpus commit
 /// uses, so node numbering matches and fingerprints are comparable. The
@@ -257,32 +259,6 @@ impl MutationOracle {
     /// The expected fingerprint of `query` at `epoch`.
     pub fn expected(&self, query: usize, epoch: u64) -> Option<u64> {
         self.expected.get(&(query, epoch)).copied()
-    }
-
-    /// Verifies that every answer a mutation run observed matches the oracle
-    /// answer of the exact epoch the reader snapshot — the epoch-consistency
-    /// property.
-    pub fn check(&self, report: &MutationReport) -> Result<(), String> {
-        for &(query, epoch, fingerprint) in &report.observations {
-            match self.expected.get(&(query, epoch)) {
-                Some(&want) if want == fingerprint => {}
-                Some(&want) => {
-                    return Err(format!(
-                        "query {query} at epoch {epoch}: observed answer fingerprint \
-                         {fingerprint:#018x} but the oracle says {want:#018x} — a blended \
-                         or stale answer"
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "query {query} observed at unknown epoch {epoch} \
-                         (oracle covers 0..{})",
-                        self.epochs
-                    ))
-                }
-            }
-        }
-        Ok(())
     }
 }
 

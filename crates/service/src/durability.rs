@@ -118,7 +118,7 @@ impl Durability {
 }
 
 /// Cumulative durability counters of one log (or, summed, of a corpus) —
-/// reported over the wire by the `RESP_STATS_V3` stats layout.
+/// reported over the wire in [`crate::net::protocol::Response::Stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Records currently in the log (since the last truncation).

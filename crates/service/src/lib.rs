@@ -13,13 +13,15 @@
 //!   [`cqt_trees::PreparedTree`]s, whose materialized axis relations and
 //!   rank-space label sets are built lazily and shared across threads;
 //! * **execute many times, in parallel** — a [`ServiceRunner`] shards the
-//!   (query, tree) requests of a [`Workload`] over a fixed pool of OS
-//!   threads. Plans and prepared trees are shared immutably (`Arc`); all
-//!   mutable evaluation state lives in one [`cqt_core::ExecScratch`] per
-//!   worker, so evaluation allocates nothing in the steady state and the
-//!   only per-request shared access is a brief read-lock on the plan map
-//!   (cache keys are hashed once per workload query, and the write lock is
-//!   taken only while a plan is missing).
+//!   requests of a workload over a fixed pool of OS threads, and every
+//!   scatter path (in-process runs, batches, the TCP front end) serves each
+//!   (query, document) pair through one shared per-document step
+//!   ([`runner`]). Plans and prepared trees are shared immutably (`Arc`);
+//!   all mutable evaluation state lives in one [`cqt_core::ExecScratch`]
+//!   per worker, so evaluation allocates nothing in the steady state and
+//!   the only per-document shared access is a brief read-lock on the plan
+//!   map (cache keys are hashed once per workload query, and the write
+//!   lock is taken only while a plan is missing).
 //!
 //! * **mutate through epochs** — a [`CorpusHandle`] serves one logical
 //!   document as a sequence of immutable epochs: readers snapshot an
@@ -29,9 +31,9 @@
 //!   invalidate, and swaps the pointer. Epoch-aware serving binds plan-cache
 //!   keys to the epoch's structure hash ([`PlanKey::with_document`]), so a
 //!   commit forces re-preparation and a stale plan entry can never serve the
-//!   new epoch. [`ServiceRunner::run_mutating`] drives a mixed read/write
-//!   stream (one writer, N readers) over such a corpus and records
-//!   per-epoch answer observations checkable against a [`MutationOracle`].
+//!   new epoch. A [`MutationOracle`] replays one document's scripts
+//!   single-threaded and gives the expected answer of every query at every
+//!   epoch.
 //!
 //! * **scale to many documents** — a sharded [`Corpus`]
 //!   ([`shard`]) maps [`DocId`]s to independently mutable documents
@@ -100,27 +102,29 @@
 //!   replica for writes only when its positions exactly match the dead
 //!   leader's durable prefix ([`durable_positions`]).
 //!
-//! The [`ServiceReport`] returned by a run carries throughput (QPS), latency
+//! The [`CorpusReport`] returned by a run carries throughput (QPS), latency
 //! percentiles (p50/p99), an order-independent answer fingerprint for
-//! cross-checking runs at different thread counts, and the plan-cache
-//! counters — all renderable as JSON for the benchmark harness
+//! cross-checking runs at different thread counts, and the plan-cache and
+//! pruning counters — all renderable as JSON for the benchmark harness
 //! (`experiments serve`).
 //!
 //! ```
-//! use std::sync::Arc;
-//! use cqt_service::{QuerySpec, ServiceConfig, ServiceRunner, Workload};
-//! use cqt_trees::{parse::parse_term, PreparedTree};
+//! use cqt_service::{
+//!     Corpus, CorpusRequest, CorpusWorkload, FanOut, QuerySpec, ServiceConfig, ServiceRunner,
+//! };
+//! use cqt_trees::parse::parse_term;
 //!
-//! let tree = Arc::new(PreparedTree::new(parse_term("A(B(D), C(D, B))").unwrap()));
-//! let workload = Workload::new(
-//!     vec![
-//!         QuerySpec::parse_cq("Q(y) :- A(x), Child+(x, y), B(y).").unwrap(),
-//!         QuerySpec::parse_xpath("//B | //C").unwrap(),
-//!     ],
-//!     vec![tree],
-//!     100,
-//! );
-//! let report = ServiceRunner::new(ServiceConfig::with_threads(2)).run(&workload);
+//! let corpus = Corpus::new(2);
+//! corpus.insert("doc", parse_term("A(B(D), C(D, B))").unwrap()).unwrap();
+//! let requests = [
+//!     QuerySpec::parse_cq("Q(y) :- A(x), Child+(x, y), B(y).").unwrap(),
+//!     QuerySpec::parse_xpath("//B | //C").unwrap(),
+//! ]
+//! .into_iter()
+//! .map(|query| CorpusRequest { query, target: FanOut::All })
+//! .collect();
+//! let workload = CorpusWorkload::new(requests, 100);
+//! let report = ServiceRunner::new(ServiceConfig::with_threads(2)).run_corpus(&corpus, &workload);
 //! assert_eq!(report.requests, 200);
 //! assert_eq!(report.plan_cache.misses, 2); // each plan compiled once
 //! ```
@@ -156,8 +160,6 @@ pub use runner::{ServiceConfig, ServiceRunner};
 pub use shard::{Corpus, CorpusError, CorpusMutationOracle, DocId, Document, FanOut};
 pub use stats::{
     answer_fingerprint, BatchReport, BatchSharing, CorpusMutationReport, CorpusReport,
-    LatencySummary, MutationReport, PruneStats, ServiceReport,
+    LatencySummary, PruneStats,
 };
-pub use workload::{
-    CorpusMutationWorkload, CorpusRequest, CorpusWorkload, MutationWorkload, QuerySpec, Workload,
-};
+pub use workload::{CorpusMutationWorkload, CorpusRequest, CorpusWorkload, QuerySpec};

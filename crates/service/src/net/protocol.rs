@@ -100,7 +100,8 @@ pub enum Request {
         fanout: WireFanOut,
         /// Client-chosen fingerprint key mixed into the answer digest: the
         /// per-document answers are folded as
-        /// `answer_fingerprint(fp_key * 1_000_003 + doc_position, answer)`,
+        /// `answer_fingerprint(fp_key * 1_000_003 + doc_position, answer)`
+        /// (wrapping arithmetic),
         /// exactly the keying `ServiceRunner::run_corpus` uses with its
         /// request index — so a client that keys by request kind can compare
         /// the server's digests against an in-process `run_corpus` run.
@@ -268,14 +269,11 @@ pub enum Response {
     },
     /// Answer to [`Request::Stats`]: the server's cumulative counters.
     ///
-    /// Encoded under the **versioned** stats tag (`RESP_STATS_V4 = 12`),
-    /// which appends the replication counters (requests, records and
-    /// snapshots streamed, observed lag) to the v3 layout of durability
-    /// counters. The decoder still accepts every older tag
-    /// (`RESP_STATS = 5`, `RESP_STATS_V2 = 6`, `RESP_STATS_V3 = 7`) —
-    /// their messages decode with the counters they predate zero-filled —
-    /// while an old client receiving a v4 message fails cleanly with
-    /// [`WireError::UnknownTag`] rather than misparsing the longer payload.
+    /// Encoded under the stats tag `RESP_STATS_V4 = 12`: the queue and
+    /// plan-cache counters, then the prune, durability and replication
+    /// counters. It is the only stats layout; the retired tags 5, 6 and 7
+    /// of shorter layouts decode to [`WireError::UnknownTag`], as does this
+    /// one on a client that predates it.
     Stats {
         /// Echoed id.
         id: u64,
@@ -291,39 +289,39 @@ pub enum Response {
         queue_depth: u32,
         /// Configured queue capacity.
         capacity: u32,
-        /// Plan-cache hits (v2).
+        /// Plan-cache hits.
         plan_hits: u64,
-        /// Plan-cache misses / compilations (v2).
+        /// Plan-cache misses / compilations.
         plan_misses: u64,
-        /// Signature analyses performed by compilations (v2).
+        /// Signature analyses performed by compilations.
         plan_analyses: u64,
-        /// Cache hits served to a different document than the compiling one
-        /// (v2).
+        /// Cache hits served to a different document than the compiling
+        /// one.
         plan_cross_document_hits: u64,
-        /// Scatter candidates considered by the pruning layer (v2).
+        /// Scatter candidates considered by the pruning layer.
         prune_candidates: u64,
-        /// Candidates pruned without executing (v2).
+        /// Candidates pruned without executing.
         prune_pruned: u64,
-        /// Candidates that survived and executed (v2).
+        /// Candidates that survived and executed.
         prune_survivors: u64,
-        /// Survivors whose answer was empty anyway (v2).
+        /// Survivors whose answer was empty anyway.
         prune_false_positives: u64,
-        /// Records currently in the write-ahead logs (v3; 0 on an
+        /// Records currently in the write-ahead logs (0 on an
         /// in-memory corpus).
         wal_records: u64,
-        /// Bytes currently in the write-ahead logs (v3).
+        /// Bytes currently in the write-ahead logs.
         wal_bytes: u64,
-        /// Newest snapshot epoch across documents (v3).
+        /// Newest snapshot epoch across documents.
         snapshot_epoch: u64,
-        /// Replication streams served since start (v4).
+        /// Replication streams served since start.
         repl_requests: u64,
-        /// Log records streamed to followers since start (v4).
+        /// Log records streamed to followers since start.
         repl_records: u64,
-        /// Snapshots streamed to followers since start (v4).
+        /// Snapshots streamed to followers since start.
         repl_snapshots: u64,
         /// Follower lag (epochs behind the leader's tips, summed over
         /// documents) observed at the start of the most recent
-        /// replication stream (v4).
+        /// replication stream.
         repl_lag_epochs: u64,
     },
 }
@@ -466,19 +464,12 @@ const RESP_ANSWER: u8 = 1;
 const RESP_SHED: u8 = 2;
 const RESP_ERROR: u8 = 3;
 const RESP_PONG: u8 = 4;
-/// Legacy stats layout (decode-only): counters end at `capacity`.
-const RESP_STATS: u8 = 5;
-/// v2 stats layout (decode-only): legacy fields plus plan-cache and
-/// prune counters.
-const RESP_STATS_V2: u8 = 6;
-/// v3 stats layout (decode-only): v2 fields plus durability counters.
-const RESP_STATS_V3: u8 = 7;
 const RESP_BATCH: u8 = 8;
 const RESP_REPL_SNAPSHOT: u8 = 9;
 const RESP_REPL_RECORD: u8 = 10;
 const RESP_REPL_DONE: u8 = 11;
-/// v4 stats layout: v3 fields plus replication counters. Always used
-/// for encoding.
+/// The stats layout (tags 5–7 held retired shorter layouts and are no
+/// longer decoded).
 const RESP_STATS_V4: u8 = 12;
 
 const LANG_CQ: u8 = 0;
@@ -903,84 +894,6 @@ impl Response {
                     removed,
                 }
             }
-            // Legacy stats: a pre-pruning server's layout. The counters it
-            // does not know about decode as zero.
-            RESP_STATS => Response::Stats {
-                id: r.u64()?,
-                admitted: r.u64()?,
-                executed: r.u64()?,
-                shed: r.u64()?,
-                errors: r.u64()?,
-                queue_depth: r.u32()?,
-                capacity: r.u32()?,
-                plan_hits: 0,
-                plan_misses: 0,
-                plan_analyses: 0,
-                plan_cross_document_hits: 0,
-                prune_candidates: 0,
-                prune_pruned: 0,
-                prune_survivors: 0,
-                prune_false_positives: 0,
-                wal_records: 0,
-                wal_bytes: 0,
-                snapshot_epoch: 0,
-                repl_requests: 0,
-                repl_records: 0,
-                repl_snapshots: 0,
-                repl_lag_epochs: 0,
-            },
-            // v2 stats: a pre-durability server's layout; the durability
-            // counters decode as zero.
-            RESP_STATS_V2 => Response::Stats {
-                id: r.u64()?,
-                admitted: r.u64()?,
-                executed: r.u64()?,
-                shed: r.u64()?,
-                errors: r.u64()?,
-                queue_depth: r.u32()?,
-                capacity: r.u32()?,
-                plan_hits: r.u64()?,
-                plan_misses: r.u64()?,
-                plan_analyses: r.u64()?,
-                plan_cross_document_hits: r.u64()?,
-                prune_candidates: r.u64()?,
-                prune_pruned: r.u64()?,
-                prune_survivors: r.u64()?,
-                prune_false_positives: r.u64()?,
-                wal_records: 0,
-                wal_bytes: 0,
-                snapshot_epoch: 0,
-                repl_requests: 0,
-                repl_records: 0,
-                repl_snapshots: 0,
-                repl_lag_epochs: 0,
-            },
-            // v3 stats: a pre-replication server's layout; the replication
-            // counters decode as zero.
-            RESP_STATS_V3 => Response::Stats {
-                id: r.u64()?,
-                admitted: r.u64()?,
-                executed: r.u64()?,
-                shed: r.u64()?,
-                errors: r.u64()?,
-                queue_depth: r.u32()?,
-                capacity: r.u32()?,
-                plan_hits: r.u64()?,
-                plan_misses: r.u64()?,
-                plan_analyses: r.u64()?,
-                plan_cross_document_hits: r.u64()?,
-                prune_candidates: r.u64()?,
-                prune_pruned: r.u64()?,
-                prune_survivors: r.u64()?,
-                prune_false_positives: r.u64()?,
-                wal_records: r.u64()?,
-                wal_bytes: r.u64()?,
-                snapshot_epoch: r.u64()?,
-                repl_requests: 0,
-                repl_records: 0,
-                repl_snapshots: 0,
-                repl_lag_epochs: 0,
-            },
             RESP_STATS_V4 => Response::Stats {
                 id: r.u64()?,
                 admitted: r.u64()?,
@@ -1254,8 +1167,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_versioned_on_the_wire() {
-        // Encoding always uses the newest versioned tag...
+    fn stats_encode_under_the_one_stats_tag() {
         let stats = Response::Stats {
             id: 4,
             admitted: 10,
@@ -1281,92 +1193,13 @@ mod tests {
             repl_lag_epochs: 2,
         };
         let wire = stats.encode();
-        assert_eq!(wire[0], 12, "stats encode under the versioned tag");
-        // ...so an old client (which only knows tags up to 7 or 8)
-        // rejects it with a clean UnknownTag error instead of misparsing
-        // the longer layout. A byte-for-byte legacy frame still decodes,
-        // zero-filling the counters the old server never tracked.
-        let mut legacy = Vec::new();
-        legacy.push(5); // RESP_STATS (legacy)
-        for v in [4u64, 10, 9, 1, 0] {
-            legacy.extend_from_slice(&v.to_le_bytes());
+        assert_eq!(wire[0], 12, "stats encode under RESP_STATS_V4");
+        // The retired shorter stats layouts no longer decode.
+        for tag in [5u8, 6, 7] {
+            let mut retired = wire.clone();
+            retired[0] = tag;
+            assert_eq!(Response::decode(&retired), Err(WireError::UnknownTag(tag)));
         }
-        legacy.extend_from_slice(&2u32.to_le_bytes());
-        legacy.extend_from_slice(&8u32.to_le_bytes());
-        match Response::decode(&legacy).unwrap() {
-            Response::Stats {
-                id,
-                admitted,
-                plan_hits,
-                prune_candidates,
-                wal_records,
-                ..
-            } => {
-                assert_eq!((id, admitted), (4, 10));
-                assert_eq!((plan_hits, prune_candidates, wal_records), (0, 0, 0));
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        // A v2 frame (pre-durability) decodes with the wal counters
-        // zero-filled.
-        let mut v2 = Vec::new();
-        v2.push(6); // RESP_STATS_V2 (decode-only)
-        for v in [4u64, 10, 9, 1, 0] {
-            v2.extend_from_slice(&v.to_le_bytes());
-        }
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&8u32.to_le_bytes());
-        for v in [7u64, 2, 2, 3, 90, 60, 30, 4] {
-            v2.extend_from_slice(&v.to_le_bytes());
-        }
-        match Response::decode(&v2).unwrap() {
-            Response::Stats {
-                plan_hits,
-                wal_records,
-                wal_bytes,
-                snapshot_epoch,
-                ..
-            } => {
-                assert_eq!(plan_hits, 7);
-                assert_eq!((wal_records, wal_bytes, snapshot_epoch), (0, 0, 0));
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        // A v3 frame (pre-replication) decodes with the replication
-        // counters zero-filled.
-        let mut v3 = Vec::new();
-        v3.push(7); // RESP_STATS_V3 (decode-only)
-        for v in [4u64, 10, 9, 1, 0] {
-            v3.extend_from_slice(&v.to_le_bytes());
-        }
-        v3.extend_from_slice(&2u32.to_le_bytes());
-        v3.extend_from_slice(&8u32.to_le_bytes());
-        for v in [7u64, 2, 2, 3, 90, 60, 30, 4, 3, 777, 2] {
-            v3.extend_from_slice(&v.to_le_bytes());
-        }
-        match Response::decode(&v3).unwrap() {
-            Response::Stats {
-                wal_records,
-                wal_bytes,
-                snapshot_epoch,
-                repl_requests,
-                repl_records,
-                repl_snapshots,
-                repl_lag_epochs,
-                ..
-            } => {
-                assert_eq!((wal_records, wal_bytes, snapshot_epoch), (3, 777, 2));
-                assert_eq!(
-                    (repl_requests, repl_records, repl_snapshots, repl_lag_epochs),
-                    (0, 0, 0, 0)
-                );
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        // A legacy frame with trailing bytes from a newer layout is
-        // rejected, not silently truncated.
-        legacy.extend_from_slice(&7u64.to_le_bytes());
-        assert_eq!(Response::decode(&legacy), Err(WireError::TrailingBytes(8)));
     }
 
     #[test]

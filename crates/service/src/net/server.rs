@@ -44,9 +44,9 @@ use crate::net::protocol::{Request, Response, WireLang};
 use crate::net::queue::{BoundedQueue, PushError};
 use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanOptions};
 use crate::replication::replicate_stream;
-use crate::runner::should_prune;
+use crate::runner::{serve_document, PruneCheck};
 use crate::shard::{Corpus, FanOut};
-use crate::stats::{answer_fingerprint, PruneStats, ReplicationStats};
+use crate::stats::{answer_fingerprint, doc_fp_key, PruneStats, ReplicationStats};
 use crate::workload::QuerySpec;
 
 /// Configuration of a [`NetServer`].
@@ -66,11 +66,6 @@ pub struct NetServerConfig {
     pub start_paused: bool,
     /// Plan-compilation options.
     pub plan: PlanOptions,
-    /// Prune fan-out with the corpus [`crate::index::LabelIndex`] before
-    /// executing (default: on). Pruned documents still contribute their
-    /// (provably empty) answers to the response fingerprint, so digests are
-    /// identical either way.
-    pub prune: bool,
 }
 
 impl Default for NetServerConfig {
@@ -81,7 +76,6 @@ impl Default for NetServerConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             start_paused: false,
             plan: PlanOptions::default(),
-            prune: true,
         }
     }
 }
@@ -143,7 +137,6 @@ struct Shared {
     queue: BoundedQueue<Job>,
     cache: PlanCache,
     plan: PlanOptions,
-    prune: bool,
     stop: AtomicBool,
     /// `true` while the worker pool is paused; workers wait on the condvar
     /// before each pop.
@@ -229,7 +222,6 @@ impl NetServer {
             queue: BoundedQueue::new(config.queue_capacity.max(1)),
             cache: PlanCache::new(),
             plan: config.plan.clone(),
-            prune: config.prune,
             stop: AtomicBool::new(false),
             paused: Mutex::new(config.start_paused),
             unpaused: Condvar::new(),
@@ -553,11 +545,13 @@ fn handle_payload(shared: &Shared, payload: &[u8], out: &Arc<Mutex<TcpStream>>) 
 fn admit(shared: &Shared, job: Job) {
     let id = job.id;
     let out = Arc::clone(&job.out);
+    // Count the job before a worker can see it, so a stats snapshot never
+    // shows `executed` ahead of `admitted`; a refused job is uncounted.
+    shared.admitted.fetch_add(1, Ordering::Relaxed);
     match shared.queue.try_push(job) {
-        Ok(()) => {
-            shared.admitted.fetch_add(1, Ordering::Relaxed);
-        }
+        Ok(()) => {}
         Err(PushError::Full { depth, capacity }) => {
+            shared.admitted.fetch_sub(1, Ordering::Relaxed);
             shared.shed.fetch_add(1, Ordering::Relaxed);
             respond(
                 &out,
@@ -569,6 +563,7 @@ fn admit(shared: &Shared, job: Job) {
             );
         }
         Err(PushError::Closed) => {
+            shared.admitted.fetch_sub(1, Ordering::Relaxed);
             shared.errors.fetch_add(1, Ordering::Relaxed);
             respond(
                 &out,
@@ -648,7 +643,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Executes one query over the selected documents, returning its answer
-/// fingerprint.
+/// fingerprint: each document's answer folds under the same
+/// (`fp_key`, document position) keying `run_corpus` uses with its request
+/// index, so clients can compare digests against an in-process run.
 fn execute_single(
     shared: &Shared,
     spec: &QuerySpec,
@@ -658,53 +655,39 @@ fn execute_single(
     prune: &mut PruneStats,
 ) -> u64 {
     let key = PlanKey::of_spec(spec).with_options(&shared.plan);
-    // The pruning pre-pass: compile the plan once (document-independent)
-    // and intersect the corpus label index's posting lists. Each
-    // document's decision is still re-validated against its own snapshot
-    // summary in the loop below, so a posting list racing a concurrent
-    // commit can cost a wasted execution but never a wrong answer.
-    let pruner = shared.prune.then(|| {
-        let plan = shared.cache.get_or_compile(spec, &shared.plan);
-        let empty = plan.empty_answer();
-        let survivors = shared
-            .corpus
-            .label_index()
-            .candidates(plan.required_labels());
-        (plan, empty, survivors)
-    });
+    // The pruning pre-pass: one document-independent plan lookup and one
+    // intersection of the corpus label index's posting lists. The shared
+    // per-document step re-validates each decision against the document's
+    // own snapshot summary, so a posting list racing a concurrent commit
+    // can cost a wasted execution but never a wrong answer.
+    let plan = shared.cache.get_or_compile(spec, &shared.plan);
+    let empty = plan.empty_answer();
+    let survivors = shared
+        .corpus
+        .label_index()
+        .candidates(plan.required_labels());
     let mut fingerprint = 0u64;
     for (j, document) in documents.iter().enumerate() {
-        // The same (fp_key, doc position) keying `run_corpus` uses with
-        // its request index, so clients can compare digests against an
-        // in-process run (wrapping, because fp_key is client-supplied).
-        let fp_key = fp_key.wrapping_mul(1_000_003).wrapping_add(j as u64);
         let snapshot = document.handle().snapshot();
-        if let Some((plan, empty, survivors)) = &pruner {
-            prune.candidates += 1;
-            let index_candidate = match survivors {
-                Some(ids) => ids.contains(document.id()),
-                None => true,
-            };
-            if should_prune(plan, index_candidate, snapshot.prepared.doc_summary()) {
-                prune.pruned += 1;
-                fingerprint = fingerprint.wrapping_add(answer_fingerprint(fp_key, empty));
-                continue;
-            }
-            prune.survivors += 1;
-        }
-        let plan = shared.cache.get_or_compile_tagged(
-            key.with_document(snapshot.prepared.structure_hash()),
-            spec,
-            &shared.plan,
-            document.doc_tag(),
-        );
-        let answer = plan.execute(&snapshot.prepared, scratch);
-        if let Some((_, empty, _)) = &pruner {
-            if answer == *empty {
-                prune.false_positives += 1;
-            }
-        }
-        fingerprint = fingerprint.wrapping_add(answer_fingerprint(fp_key, &answer));
+        let check = PruneCheck {
+            plan: &plan,
+            empty: &empty,
+            index_candidate: survivors
+                .as_ref()
+                .map_or(true, |ids| ids.contains(document.id())),
+        };
+        let answer = serve_document(Some(check), snapshot.prepared.doc_summary(), prune, || {
+            shared
+                .cache
+                .get_or_compile_tagged(
+                    key.with_document(snapshot.prepared.structure_hash()),
+                    spec,
+                    &shared.plan,
+                    document.doc_tag(),
+                )
+                .execute(&snapshot.prepared, scratch)
+        });
+        fingerprint = fingerprint.wrapping_add(answer_fingerprint(doc_fp_key(fp_key, j), &answer));
     }
     fingerprint
 }
@@ -712,10 +695,9 @@ fn execute_single(
 /// Executes a whole batch over the selected documents through one
 /// [`PreparedBatch`] (snapshot once per document, dedup, shared-step
 /// table, union-label pruning), returning one fingerprint per query in
-/// request order. Each fingerprint folds with the **same**
-/// `fp_key * 1_000_003 + doc_position` keying as [`execute_single`], so a
-/// batch's k-th digest equals the digest of sending that query alone with
-/// the same `fp_key`.
+/// request order. Each fingerprint folds with the **same** keying as
+/// [`execute_single`], so a batch's k-th digest equals the digest of
+/// sending that query alone with the same `fp_key`.
 fn execute_batch(
     shared: &Shared,
     queries: &[(QuerySpec, u64)],
@@ -728,7 +710,7 @@ fn execute_batch(
         &specs,
         &shared.cache,
         &shared.plan,
-        shared.prune.then(|| shared.corpus.label_index()),
+        Some(shared.corpus.label_index()),
     );
     let mut fingerprints = vec![0u64; queries.len()];
     let mut answers = Vec::with_capacity(queries.len());
@@ -736,7 +718,7 @@ fn execute_batch(
         answers.clear();
         batch.execute_document(document, scratch, &mut answers, prune);
         for (q, answer) in answers.iter().enumerate() {
-            let fp_key = queries[q].1.wrapping_mul(1_000_003).wrapping_add(j as u64);
+            let fp_key = doc_fp_key(queries[q].1, j);
             fingerprints[q] = fingerprints[q].wrapping_add(answer_fingerprint(fp_key, answer));
         }
     }
@@ -871,53 +853,89 @@ mod tests {
     }
 
     #[test]
-    fn pruned_and_unpruned_servers_agree_on_fingerprints() {
-        // `doc-c` has no `B` anywhere: the label index prunes it for a
-        // B-requiring query, and the pruned server must still produce the
-        // exact fingerprint of the unpruned one.
-        let corpus = || {
-            let corpus = test_corpus();
-            corpus
-                .insert("doc-c", parse_term("R(C(C), C)").unwrap())
+    fn pruned_server_answers_equal_unpruned_run_corpus() {
+        use crate::runner::{ServiceConfig, ServiceRunner};
+        use crate::workload::{CorpusRequest, CorpusWorkload};
+
+        // `doc-c` has no `B` anywhere, so every query below prunes it; the
+        // pruning server must still produce the exact fingerprint of the
+        // unpruned in-process runner.
+        let corpus = test_corpus();
+        corpus
+            .insert_tagged("doc-c", &["hot"], parse_term("R(C(C), C)").unwrap())
+            .unwrap();
+        let queries = [
+            (WireLang::Cq, "Q() :- A(x), Child(x, y), B(y)."),
+            (WireLang::Cq, "Q(y) :- A(x), Child(x, y), B(y)."),
+            (WireLang::Cq, "Q(x, y) :- A(x), Child(x, y), B(y)."),
+            (WireLang::XPath, "//A/B"),
+        ];
+        let fanouts = [
+            (WireFanOut::All, FanOut::All),
+            (WireFanOut::Tag("hot".into()), FanOut::Tagged("hot".into())),
+            (WireFanOut::Doc("doc-c".into()), FanOut::One("doc-c".into())),
+        ];
+        let unpruned = ServiceRunner::new(ServiceConfig::with_threads(1).with_prune(false));
+        let handle = NetServer::start(Arc::clone(&corpus), NetServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut expected_prune = PruneStats::default();
+        let mut id = 0;
+        for (lang, text) in queries {
+            for (wire_fanout, target) in &fanouts {
+                id += 1;
+                let response = call(
+                    &mut stream,
+                    &Request::Query {
+                        id,
+                        lang,
+                        text: text.into(),
+                        fanout: wire_fanout.clone(),
+                        fp_key: 0,
+                    },
+                );
+                let Response::Answer {
+                    fingerprint, docs, ..
+                } = response
+                else {
+                    panic!("expected answer to {text} over {target:?}, got {response:?}");
+                };
+                let query = match lang {
+                    WireLang::Cq => QuerySpec::parse_cq(text),
+                    WireLang::XPath => QuerySpec::parse_xpath(text),
+                }
                 .unwrap();
-            corpus
-        };
-        let query = |id| Request::Query {
-            id,
-            lang: WireLang::Cq,
-            text: "Q(y) :- A(x), Child(x, y), B(y).".into(),
-            fanout: WireFanOut::All,
-            fp_key: 42,
-        };
-        let run = |prune: bool| {
-            let config = NetServerConfig {
-                prune,
-                ..NetServerConfig::default()
-            };
-            let handle = NetServer::start(corpus(), config).unwrap();
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .unwrap();
-            let response = call(&mut stream, &query(1));
-            let Response::Answer {
-                fingerprint, docs, ..
-            } = response
-            else {
-                panic!("expected answer, got {response:?}");
-            };
-            assert_eq!(docs, 3, "fan-out still reports every selected doc");
-            let stats = handle.stats();
-            handle.shutdown();
-            (fingerprint, stats)
-        };
-        let (pruned_fp, pruned_stats) = run(true);
-        let (unpruned_fp, unpruned_stats) = run(false);
-        assert_eq!(pruned_fp, unpruned_fp, "pruning must not change answers");
-        assert_eq!(pruned_stats.prune.candidates, 3);
-        assert_eq!(pruned_stats.prune.pruned, 1, "doc-c lacks label B");
-        assert_eq!(pruned_stats.prune.survivors, 2);
-        assert_eq!(unpruned_stats.prune, PruneStats::default());
+                let workload = CorpusWorkload::new(
+                    vec![CorpusRequest {
+                        query,
+                        target: target.clone(),
+                    }],
+                    1,
+                );
+                let reference = unpruned.run_corpus(&corpus, &workload);
+                assert_eq!(reference.prune, PruneStats::default());
+                assert_eq!(
+                    fingerprint, reference.answer_fingerprint,
+                    "{text} over {target:?}: pruning must not change answers"
+                );
+                let selected = corpus.select(target);
+                assert_eq!(docs as usize, selected.len(), "fan-out reports every doc");
+                let prunable = selected.iter().filter(|d| d.id().as_str() == "doc-c");
+                expected_prune.candidates += selected.len() as u64;
+                expected_prune.pruned += prunable.count() as u64;
+            }
+        }
+        expected_prune.survivors = expected_prune.candidates - expected_prune.pruned;
+        let stats = handle.stats();
+        handle.shutdown();
+        // 4 queries x (3 + 2 + 1) documents, doc-c pruned in every case.
+        assert_eq!(expected_prune.candidates, 24);
+        assert_eq!(expected_prune.pruned, 12);
+        assert_eq!(stats.prune.candidates, expected_prune.candidates);
+        assert_eq!(stats.prune.pruned, expected_prune.pruned, "doc-c lacks B");
+        assert_eq!(stats.prune.survivors, expected_prune.survivors);
     }
 
     #[test]

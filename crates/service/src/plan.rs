@@ -116,9 +116,11 @@ impl PlanKey {
     }
 
     /// Binds the key to a document epoch via its structure hash
-    /// ([`cqt_trees::PreparedTree::structure_hash`]). The epoch-aware
-    /// serving path ([`crate::runner::ServiceRunner::run_mutating`]) keys
-    /// every lookup this way, so a commit — which by construction changes
+    /// ([`cqt_trees::PreparedTree::structure_hash`]). Every serving path
+    /// that executes against a document snapshot
+    /// ([`crate::runner::ServiceRunner::run_corpus`],
+    /// [`crate::runner::ServiceRunner::run_corpus_mutating`], the TCP
+    /// front end) keys every per-document lookup this way, so a commit — which by construction changes
     /// the structure hash — forces re-preparation: a plan entry created for
     /// the previous epoch can never be returned for the new one. (Plans are
     /// currently document-independent, so the binding costs one redundant

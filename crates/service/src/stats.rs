@@ -1,10 +1,10 @@
 //! Latency/throughput statistics of a serving run, with JSON rendering.
 //!
-//! One report type per serving mode: [`ServiceReport`] (frozen batch),
-//! [`MutationReport`] (single-document read/write), [`CorpusReport`]
-//! (sharded scatter–gather) and [`CorpusMutationReport`] (multi-writer
-//! corpus). All render to JSON by hand — the vendored serde shim has no
-//! serializer, and the schemas are small and stable.
+//! One report type per serving mode: [`CorpusReport`] (scatter–gather),
+//! [`BatchReport`] (batched scatter–gather) and [`CorpusMutationReport`]
+//! (read/write with one writer per mutated document). All render to JSON
+//! by hand — the vendored serde shim has no serializer, and the schemas are
+//! small and stable.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,8 +15,10 @@ use crate::plan::PlanCacheStats;
 use crate::shard::{DocId, SharingSummary};
 
 /// An order-independent fingerprint of one answer, mixed with a caller
-/// `key`: the batch runner keys by request index (so swapping two different
-/// answers between requests changes the sum), the mutation runner and the
+/// `key`: scatter–gather runs and the TCP front end key each per-document
+/// answer by (request, document position) through `doc_fp_key` (so
+/// swapping two different answers between requests or documents changes the
+/// sum), while [`crate::runner::ServiceRunner::run_corpus_mutating`] and the
 /// [`crate::corpus::MutationOracle`] key by query index (so fingerprints of
 /// the same query are comparable across epochs and runs).
 pub fn answer_fingerprint(key: u64, answer: &Answer) -> u64 {
@@ -42,6 +44,19 @@ pub fn answer_fingerprint(key: u64, answer: &Answer) -> u64 {
         }
     }
     h
+}
+
+/// The fingerprint key of the answer a scatter gathers from the document at
+/// `doc_position` of its fan-out, for a request keyed `fp_key`:
+/// `fp_key * 1_000_003 + doc_position`, wrapping because a network client
+/// chooses `fp_key`. Every scatter path folds per-document answers under
+/// this key, which is what makes their fingerprints comparable: a pruned
+/// document folds its empty answer under the same key it would have
+/// executed under.
+pub(crate) fn doc_fp_key(fp_key: u64, doc_position: usize) -> u64 {
+    fp_key
+        .wrapping_mul(1_000_003)
+        .wrapping_add(doc_position as u64)
 }
 
 /// Latency percentiles over one run, in nanoseconds.
@@ -85,48 +100,6 @@ impl LatencySummary {
             mean_ns: (sum / latencies.len() as u128) as u64,
             max_ns: *latencies.last().expect("non-empty"),
         }
-    }
-}
-
-/// The result of one [`crate::runner::ServiceRunner::run`] call.
-#[derive(Clone, Debug)]
-pub struct ServiceReport {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Requests executed.
-    pub requests: u64,
-    /// Wall-clock duration of the whole batch, in nanoseconds.
-    pub wall_ns: u64,
-    /// Requests per second (requests / wall time).
-    pub qps: f64,
-    /// Per-request latency percentiles.
-    pub latency: LatencySummary,
-    /// Order-independent fingerprint of every answer, for cross-checking
-    /// runs at different thread counts against each other.
-    pub answer_fingerprint: u64,
-    /// Plan cache counters at the end of the run.
-    pub plan_cache: PlanCacheStats,
-}
-
-impl ServiceReport {
-    /// Renders the report as a JSON object (hand-formatted: the vendored
-    /// serde shim has no serializer, and the schema is small and stable).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"threads\": {}, \"requests\": {}, \"wall_ns\": {}, \"qps\": {:.1}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}, \
-             \"answer_fingerprint\": {}, \"plan_cache\": {}}}",
-            self.threads,
-            self.requests,
-            self.wall_ns,
-            self.qps,
-            self.latency.p50_ns,
-            self.latency.p99_ns,
-            self.latency.mean_ns,
-            self.latency.max_ns,
-            self.answer_fingerprint,
-            plan_cache_json(&self.plan_cache),
-        )
     }
 }
 
@@ -179,8 +152,8 @@ impl PruneStats {
 
 /// Replication counters of a leader's serving front end: how much the
 /// `REPLICATE` streams shipped and how far behind the followers were when
-/// they subscribed — reported over the wire by the `RESP_STATS_V4` stats
-/// layout.
+/// they subscribed — reported over the wire in
+/// [`crate::net::protocol::Response::Stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplicationStats {
     /// Replication streams served.
@@ -207,74 +180,6 @@ pub(crate) fn prune_stats_json(stats: &PruneStats) -> String {
         stats.false_positives,
         stats.prune_rate(),
     )
-}
-
-/// The result of one [`crate::runner::ServiceRunner::run_mutating`] call:
-/// a read/write run over an epoch-swapped corpus.
-#[derive(Clone, Debug)]
-pub struct MutationReport {
-    /// Reader threads used (the writer is one extra thread).
-    pub threads: usize,
-    /// Read requests executed (including the epoch probes).
-    pub reads: u64,
-    /// Wall-clock duration of the whole run, in nanoseconds.
-    pub wall_ns: u64,
-    /// Read requests per second.
-    pub qps: f64,
-    /// Per-read latency percentiles (snapshot + plan lookup + execution).
-    pub latency: LatencySummary,
-    /// One report per committed script, in commit order.
-    pub commits: Vec<CommitReport>,
-    /// Every distinct `(query index, epoch, answer fingerprint)` a reader
-    /// observed — checked against a [`crate::corpus::MutationOracle`] for
-    /// epoch consistency.
-    pub observations: BTreeSet<(usize, u64, u64)>,
-    /// Plan cache counters at the end of the run.
-    pub plan_cache: PlanCacheStats,
-}
-
-impl MutationReport {
-    /// The distinct epochs readers observed.
-    pub fn epochs_observed(&self) -> BTreeSet<u64> {
-        self.observations
-            .iter()
-            .map(|&(_, epoch, _)| epoch)
-            .collect()
-    }
-
-    /// The epoch the corpus ended on (number of commits).
-    pub fn final_epoch(&self) -> u64 {
-        self.commits.last().map_or(0, |commit| commit.epoch)
-    }
-
-    /// Total cache entries carried across all commits.
-    pub fn carried_entries(&self) -> u64 {
-        self.commits
-            .iter()
-            .map(|c| c.carried_relations + c.carried_label_sets)
-            .sum()
-    }
-
-    /// Renders the report as a JSON object (hand-formatted, like
-    /// [`ServiceReport::to_json`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"threads\": {}, \"reads\": {}, \"wall_ns\": {}, \"qps\": {:.1}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"commits\": {}, \"final_epoch\": {}, \
-             \"epochs_observed\": {}, \"carried_entries\": {}, \"plan_cache\": {}}}",
-            self.threads,
-            self.reads,
-            self.wall_ns,
-            self.qps,
-            self.latency.p50_ns,
-            self.latency.p99_ns,
-            self.commits.len(),
-            self.final_epoch(),
-            self.epochs_observed().len(),
-            self.carried_entries(),
-            plan_cache_json(&self.plan_cache),
-        )
-    }
 }
 
 /// The result of one [`crate::runner::ServiceRunner::run_corpus`] call: a
@@ -602,6 +507,17 @@ mod tests {
     }
 
     #[test]
+    fn doc_keys_wrap_and_separate_positions() {
+        assert_eq!(doc_fp_key(0, 5), 5);
+        assert_ne!(doc_fp_key(1, 0), doc_fp_key(0, 1));
+        // Client-chosen keys near the top of the range wrap, never panic.
+        assert_eq!(
+            doc_fp_key(u64::MAX, 1),
+            doc_fp_key(u64::MAX, 0).wrapping_add(1)
+        );
+    }
+
+    #[test]
     fn prune_stats_rate_and_json() {
         let mut stats = PruneStats {
             candidates: 8,
@@ -626,9 +542,18 @@ mod tests {
 
     #[test]
     fn report_json_is_well_formed() {
-        let report = ServiceReport {
+        let plan_cache = PlanCacheStats {
+            hits: 95,
+            misses: 5,
+            analyses: 5,
+            cross_document_hits: 2,
+        };
+        let report = CorpusReport {
             threads: 4,
+            shards: 2,
+            documents: 3,
             requests: 100,
+            doc_executions: 250,
             wall_ns: 1_000_000,
             qps: 100_000.0,
             latency: LatencySummary {
@@ -639,12 +564,9 @@ mod tests {
                 max_ns: 95,
             },
             answer_fingerprint: 42,
-            plan_cache: PlanCacheStats {
-                hits: 95,
-                misses: 5,
-                analyses: 5,
-                cross_document_hits: 2,
-            },
+            sharing: SharingSummary::from_stats(&plan_cache),
+            plan_cache,
+            prune: PruneStats::default(),
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -654,6 +576,8 @@ mod tests {
             "\"p99_ns\": 90",
             "\"analyses\": 5",
             "\"cross_document_hits\": 2",
+            "\"doc_executions\": 250",
+            "\"cross_document_hit_rate\": 0.0200",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

@@ -1,12 +1,8 @@
 //! Workloads: the (query, document) batches the runner shards over threads.
 //!
-//! Four workload shapes, one per serving mode:
+//! Two workload shapes (a third, [`crate::batch::BatchWorkload`], lives
+//! with the batch layer):
 //!
-//! * [`Workload`] — a frozen (query × tree × repeats) product over shared
-//!   [`PreparedTree`]s, for [`crate::runner::ServiceRunner::run`];
-//! * [`MutationWorkload`] — a read stream plus one writer's edit scripts
-//!   over a single epoch-swapped document, for
-//!   [`crate::runner::ServiceRunner::run_mutating`];
 //! * [`CorpusWorkload`] — (query, [`FanOut`]) requests over a sharded
 //!   multi-document [`crate::shard::Corpus`]: each request scatters to one
 //!   document, a tagged subset, or every document, and gathers per-document
@@ -17,11 +13,9 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
 use cqt_query::{parse_query, ConjunctiveQuery};
 use cqt_trees::edit::EditScript;
-use cqt_trees::PreparedTree;
 use cqt_xpath::{parse_xpath, XPathQuery};
 
 use crate::shard::{DocId, FanOut};
@@ -65,96 +59,6 @@ impl fmt::Display for QuerySpec {
             QuerySpec::Cq(query) => write!(f, "{query}"),
             QuerySpec::XPath(query) => write!(f, "{query}"),
         }
-    }
-}
-
-/// A batch of requests: every query of `queries` against every tree of
-/// `trees`, `repeats` times over. Requests are interleaved query-first so
-/// that consecutive requests exercise different plans (the worst case for a
-/// plan cache, the common case for live traffic).
-#[derive(Clone, Debug)]
-pub struct Workload {
-    /// The query mix.
-    pub queries: Vec<QuerySpec>,
-    /// The document corpus, shared (and lazily indexed) across threads.
-    pub trees: Vec<Arc<PreparedTree>>,
-    /// How many times to run the full (query × tree) product.
-    pub repeats: usize,
-}
-
-impl Workload {
-    /// Builds a workload over the full query × tree product.
-    pub fn new(queries: Vec<QuerySpec>, trees: Vec<Arc<PreparedTree>>, repeats: usize) -> Self {
-        Workload {
-            queries,
-            trees,
-            repeats,
-        }
-    }
-
-    /// Total number of requests the runner will execute.
-    pub fn request_count(&self) -> usize {
-        self.queries.len() * self.trees.len() * self.repeats
-    }
-
-    /// Whether the workload contains no requests.
-    pub fn is_empty(&self) -> bool {
-        self.request_count() == 0
-    }
-
-    /// The (query index, tree index) of request number `i`, interleaving
-    /// queries fastest.
-    pub(crate) fn request(&self, i: usize) -> (usize, usize) {
-        let pair = i % (self.queries.len() * self.trees.len());
-        (pair % self.queries.len(), pair / self.queries.len())
-    }
-}
-
-/// A mixed read/write workload over one epoch-swapped document: `reads`
-/// read requests (cycling through `queries`) served by N reader threads
-/// while a single writer commits `scripts` in order, each script addressed
-/// to the tree state left by its predecessors.
-///
-/// Commit pacing is cursor-driven: the writer commits script `i` once the
-/// readers have claimed a fixed fraction of the stream, spreading the epoch
-/// swaps over the first 60% of the reads so the tail of the run measurably
-/// serves the final epoch.
-#[derive(Clone, Debug)]
-pub struct MutationWorkload {
-    /// The read-side query mix.
-    pub queries: Vec<QuerySpec>,
-    /// The scripts the writer commits, in order.
-    pub scripts: Vec<cqt_trees::edit::EditScript>,
-    /// Total read requests.
-    pub reads: usize,
-}
-
-impl MutationWorkload {
-    /// Builds a mutation workload.
-    pub fn new(
-        queries: Vec<QuerySpec>,
-        scripts: Vec<cqt_trees::edit::EditScript>,
-        reads: usize,
-    ) -> Self {
-        MutationWorkload {
-            queries,
-            scripts,
-            reads,
-        }
-    }
-
-    /// The query index of read request `i`.
-    pub(crate) fn query_of(&self, i: usize) -> usize {
-        i % self.queries.len()
-    }
-
-    /// The read-cursor positions at which the writer commits each script:
-    /// evenly spread over the first 60% of the read stream.
-    pub(crate) fn commit_points(&self) -> Vec<usize> {
-        let spread = self.reads * 3 / 5;
-        (0..self.scripts.len())
-            .map(|i| spread * (i + 1) / (self.scripts.len() + 1))
-            .collect()
     }
 }
 
@@ -207,9 +111,10 @@ impl CorpusWorkload {
 /// [`CorpusMutationWorkload::new`]): commits to one document are serialized
 /// by its handle anyway, and one-writer-per-document is what makes the
 /// per-document [`crate::shard::CorpusMutationOracle`] replay exact.
-/// Writers pace themselves off the shared read cursor exactly like the
-/// single-document [`MutationWorkload`]: each writer's scripts are spread
-/// evenly over the first 60% of the read stream.
+/// Writers pace themselves off the shared read cursor: each writer's
+/// scripts are spread evenly over the first 60% of the read stream, so the
+/// tail of the run measurably serves the final epochs. A single document
+/// with one writer is the single-document read/write case.
 #[derive(Clone, Debug)]
 pub struct CorpusMutationWorkload {
     /// The read-side query mix.
@@ -280,50 +185,6 @@ impl CorpusMutationWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqt_trees::parse::parse_term;
-
-    #[test]
-    fn request_indexing_covers_the_product() {
-        let workload = Workload::new(
-            vec![
-                QuerySpec::parse_cq("Q() :- A(x).").unwrap(),
-                QuerySpec::parse_xpath("//A").unwrap(),
-            ],
-            vec![
-                Arc::new(PreparedTree::new(parse_term("A(B)").unwrap())),
-                Arc::new(PreparedTree::new(parse_term("A(B, C)").unwrap())),
-                Arc::new(PreparedTree::new(parse_term("A").unwrap())),
-            ],
-            2,
-        );
-        assert_eq!(workload.request_count(), 12);
-        assert!(!workload.is_empty());
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..6 {
-            seen.insert(workload.request(i));
-        }
-        assert_eq!(seen.len(), 6);
-        // The second repeat revisits the same pairs.
-        assert_eq!(workload.request(6), workload.request(0));
-    }
-
-    #[test]
-    fn mutation_workload_paces_commits_into_the_read_stream() {
-        let workload = MutationWorkload::new(
-            vec![
-                QuerySpec::parse_cq("Q() :- A(x).").unwrap(),
-                QuerySpec::parse_xpath("//A").unwrap(),
-            ],
-            vec![cqt_trees::edit::EditScript::new(); 3],
-            1000,
-        );
-        let points = workload.commit_points();
-        assert_eq!(points.len(), 3);
-        assert!(points.windows(2).all(|w| w[0] < w[1]), "{points:?}");
-        assert!(*points.last().unwrap() <= 600);
-        assert_eq!(workload.query_of(0), 0);
-        assert_eq!(workload.query_of(5), 1);
-    }
 
     #[test]
     fn corpus_workload_indexing_and_reads() {

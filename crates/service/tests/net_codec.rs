@@ -194,87 +194,6 @@ proptest! {
         }
     }
 
-    /// Every historical stats layout still decodes: a frame hand-encoded
-    /// under tag 5 (legacy), 6 (v2) or 7 (v3) yields the counters it
-    /// carries verbatim and zero for every counter added later, and a
-    /// truncated frame of any version is a clean error.
-    #[test]
-    fn older_stats_tags_decode_with_zero_fill(
-        version in 0usize..3,
-        counters in vec(proptest::any::<Index>(), 15usize),
-        cut in proptest::any::<Index>(),
-    ) {
-        let c: Vec<u64> = counters.iter().map(|i| i.index(usize::MAX) as u64).collect();
-        // Fields shared by every version: id + 4 counters, depth, capacity.
-        let mut wire = Vec::new();
-        wire.push([5u8, 6, 7][version]);
-        for v in &c[0..5] {
-            wire.extend_from_slice(&v.to_le_bytes());
-        }
-        wire.extend_from_slice(&(c[5] as u32).to_le_bytes());
-        wire.extend_from_slice(&(c[6] as u32).to_le_bytes());
-        if version >= 1 {
-            // v2 adds 8 plan-cache + prune counters.
-            for v in &c[7..15] {
-                wire.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        if version >= 2 {
-            // v3 adds 3 durability counters.
-            for v in &c[0..3] {
-                wire.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let decoded = Response::decode(&wire);
-        prop_assert!(decoded.is_ok(), "version {} failed: {:?}", version, decoded);
-        let Ok(Response::Stats {
-            id,
-            admitted,
-            executed,
-            shed,
-            errors,
-            queue_depth,
-            capacity,
-            plan_hits,
-            prune_false_positives,
-            wal_records,
-            snapshot_epoch,
-            repl_requests,
-            repl_records,
-            repl_snapshots,
-            repl_lag_epochs,
-            ..
-        }) = decoded
-        else {
-            panic!("expected stats");
-        };
-        prop_assert_eq!(
-            (id, admitted, executed, shed, errors),
-            (c[0], c[1], c[2], c[3], c[4])
-        );
-        prop_assert_eq!((queue_depth, capacity), (c[5] as u32, c[6] as u32));
-        if version >= 1 {
-            prop_assert_eq!((plan_hits, prune_false_positives), (c[7], c[14]));
-        } else {
-            prop_assert_eq!((plan_hits, prune_false_positives), (0, 0));
-        }
-        if version >= 2 {
-            prop_assert_eq!((wal_records, snapshot_epoch), (c[0], c[2]));
-        } else {
-            prop_assert_eq!((wal_records, snapshot_epoch), (0, 0));
-        }
-        // No historical tag carries replication counters.
-        prop_assert_eq!(
-            (repl_requests, repl_records, repl_snapshots, repl_lag_epochs),
-            (0, 0, 0, 0)
-        );
-        // Any strict prefix is Truncated, never a partial decode.
-        let cut = cut.index(wire.len());
-        if cut < wire.len() {
-            prop_assert!(Response::decode(&wire[..cut]).is_err());
-        }
-    }
-
     #[test]
     fn oversized_declared_lengths_are_rejected_before_buffering(
         declared in 9u32..u32::MAX,

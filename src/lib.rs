@@ -27,9 +27,9 @@
 //! * [`xpath`] — positive Core XPath parsing, evaluation, compilation to
 //!   CQs and emission from acyclic queries;
 //! * [`service`] — the concurrent serving layer: compiled plans with a
-//!   signature-keyed cache, prepared-tree corpora, a multi-threaded batch
-//!   runner with latency/throughput statistics, and epoch-swapped mutable
-//!   documents (`CorpusHandle`) serving mixed read/write streams with
+//!   signature-keyed cache, a sharded corpus of epoch-swapped mutable
+//!   documents (`Corpus`), and a multi-threaded scatter–gather runner with
+//!   latency/throughput statistics, serving mixed read/write streams with
 //!   oracle-checked epoch consistency.
 //!
 //! ## Quick start
@@ -72,8 +72,8 @@ pub mod prelude {
     pub use cqt_query::{parse_query, ConjunctiveQuery, PositiveQuery, Signature};
     pub use cqt_rewrite::{diamond_query, join_lifter, ps_structure, rewrite_to_apq};
     pub use cqt_service::{
-        CorpusHandle, MutationOracle, MutationWorkload, QuerySpec, ServiceConfig, ServiceRunner,
-        Workload,
+        Corpus, CorpusHandle, CorpusWorkload, FanOut, MutationOracle, QuerySpec, ServiceConfig,
+        ServiceRunner,
     };
     pub use cqt_trees::{
         Axis, EditScript, NodeId, NodeSet, Order, PreparedTree, Tree, TreeBuilder, TreeEdit,

@@ -2,18 +2,19 @@
 //! hammer one shared `Arc<PreparedTree>` with a mix of tractable and NP-hard
 //! queries (every concurrent answer cross-checked against the
 //! single-threaded `Engine` facade), and a writer thread commits edit
-//! scripts against an epoch-swapped corpus while 8 readers serve — with
+//! scripts against a one-document corpus while 8 readers serve — with
 //! every observed answer required to match the oracle of the exact epoch it
 //! was read from.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cq_trees::core::{Answer, CompiledQuery, Engine, ExecScratch};
 use cq_trees::query::cq::figure1_query;
 use cq_trees::query::parse_query;
 use cq_trees::service::{
-    CorpusHandle, MutationOracle, MutationWorkload, QuerySpec, ServiceConfig, ServiceRunner,
-    Workload,
+    Corpus, CorpusMutationOracle, CorpusMutationWorkload, CorpusRequest, CorpusWorkload, DocId,
+    FanOut, QuerySpec, ServiceConfig, ServiceRunner,
 };
 use cq_trees::trees::edit::EditScript;
 use cq_trees::trees::generate::{random_edit_script, treebank, EditScriptConfig, TreebankConfig};
@@ -149,21 +150,29 @@ fn one_writer_eight_readers_are_epoch_consistent() {
     let mut queries: Vec<QuerySpec> = query_mix().into_iter().map(QuerySpec::from_cq).collect();
     queries.push(QuerySpec::parse_xpath("//NP[NN]/following::PP | //VP").unwrap());
 
-    let workload = MutationWorkload::new(queries.clone(), scripts.clone(), 1200);
-    let corpus = CorpusHandle::new(initial.clone());
+    let doc = DocId::new("treebank");
+    let corpus = Corpus::new(1);
+    corpus.insert(doc.clone(), initial.clone()).unwrap();
+    let workload = CorpusMutationWorkload::new(
+        queries.clone(),
+        vec![doc.clone()],
+        vec![(doc.clone(), scripts.clone())],
+        1200,
+    );
     let runner = ServiceRunner::new(ServiceConfig {
         threads: 8,
         chunk: 2,
         ..ServiceConfig::default()
     });
-    let report = runner.run_mutating(&corpus, &workload).unwrap();
+    let report = runner.run_corpus_mutating(&corpus, &workload).unwrap();
 
-    assert_eq!(report.commits.len(), scripts.len());
-    assert_eq!(report.final_epoch(), scripts.len() as u64);
-    assert_eq!(corpus.epoch(), scripts.len() as u64);
+    let commits = &report.commits[&doc];
+    assert_eq!(commits.len(), scripts.len());
+    assert_eq!(report.final_epochs()[&doc], scripts.len() as u64);
+    assert_eq!(corpus.snapshot(&doc).unwrap().epoch, scripts.len() as u64);
     // The probes pin both ends of the epoch range; the concurrent readers
     // fill in whatever the scheduler produced in between.
-    let epochs = report.epochs_observed();
+    let epochs = report.epochs_observed_for(&doc);
     assert!(
         epochs.contains(&0) && epochs.contains(&(scripts.len() as u64)),
         "expected first and final epochs among {epochs:?}"
@@ -171,15 +180,21 @@ fn one_writer_eight_readers_are_epoch_consistent() {
 
     // THE check: every (query, epoch, answer) observation matches the
     // replayed single-threaded oracle for that exact epoch.
-    let oracle =
-        MutationOracle::build(&initial, &scripts, &queries, &runner.config().plan).unwrap();
+    let oracle = CorpusMutationOracle::build(
+        &BTreeMap::from([(doc.clone(), initial)]),
+        &BTreeMap::from([(doc.clone(), scripts.clone())]),
+        &queries,
+        &runner.config().plan,
+    )
+    .unwrap();
     oracle.check(&report).expect("epoch-consistency violated");
     // The trailing relabel-only script preserved structure, so its epoch is
     // eligible for cache carry-forward (actual carry counts depend on what
     // readers had warmed when the writer committed).
-    assert!(report.commits.last().unwrap().summary.keeps_structure());
+    assert!(commits.last().unwrap().summary.keeps_structure());
 
-    // Plan-cache accounting: every read is a hit or a compile, at least the
+    // Plan-cache accounting: every executed read is a hit or a compile (a
+    // pruned read looks nothing up), at least the
     // epoch-0 plans compiled, and — because the writer evicts each
     // superseded epoch's entries — the cache ends bounded by the live
     // epoch's plans (plus at most a few stale re-inserts from readers that
@@ -188,8 +203,9 @@ fn one_writer_eight_readers_are_epoch_consistent() {
     assert!(report.plan_cache.misses >= query_count);
     assert_eq!(
         report.plan_cache.hits + report.plan_cache.misses,
-        report.reads
+        report.prune.survivors
     );
+    assert_eq!(report.prune.candidates, report.reads);
     // After the runner's final sweep (no readers left to re-insert stale
     // epochs), only the live epoch's plans remain.
     assert!(
@@ -201,27 +217,44 @@ fn one_writer_eight_readers_are_epoch_consistent() {
 
 #[test]
 fn service_runner_stress_is_thread_count_invariant() {
-    let prepared = Arc::new(corpus());
+    let treebank = Corpus::new(1);
+    treebank
+        .insert("treebank", corpus().tree().clone())
+        .unwrap();
     let mut queries: Vec<QuerySpec> = query_mix().into_iter().map(QuerySpec::from_cq).collect();
     queries.push(QuerySpec::parse_xpath("//NP[NN]/following::PP").unwrap());
-    let workload = Workload::new(queries, vec![prepared], 6);
+    let requests = queries
+        .iter()
+        .map(|query| CorpusRequest {
+            query: query.clone(),
+            target: FanOut::All,
+        })
+        .collect();
+    let workload = CorpusWorkload::new(requests, 6);
 
-    let single = ServiceRunner::new(ServiceConfig::with_threads(1)).run(&workload);
+    let single =
+        ServiceRunner::new(ServiceConfig::with_threads(1)).run_corpus(&treebank, &workload);
     let multi = ServiceRunner::new(ServiceConfig {
         threads: 8,
         chunk: 2,
         ..ServiceConfig::default()
     })
-    .run(&workload);
+    .run_corpus(&treebank, &workload);
 
     assert_eq!(single.requests, workload.request_count() as u64);
     assert_eq!(multi.requests, single.requests);
     // Same answers regardless of sharding and interleaving.
     assert_eq!(multi.answer_fingerprint, single.answer_fingerprint);
-    // One compilation per distinct query, however many threads raced.
-    assert_eq!(multi.plan_cache.misses, workload.queries.len() as u64);
+    assert_eq!(multi.prune, single.prune);
+    // One compilation per executed (never pruned) query of this one
+    // document, however many threads raced, and one plan lookup per
+    // execution.
+    assert_eq!(
+        multi.plan_cache.misses * workload.repeats as u64,
+        multi.doc_executions
+    );
     assert_eq!(
         multi.plan_cache.hits + multi.plan_cache.misses,
-        workload.request_count() as u64
+        multi.doc_executions
     );
 }
