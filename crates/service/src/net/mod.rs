@@ -13,7 +13,8 @@
 //! * [`queue`] + [`server`] — the bounded admission queue and the
 //!   accept/reader/worker thread structure, with per-request latency split
 //!   into queue-wait vs. execute time (`queue_ns + exec_ns == total_ns`,
-//!   exactly).
+//!   exactly). Accepted sockets set `TCP_NODELAY`, and shutdown ends the
+//!   blocking readers by shutting each socket's read half.
 //!
 //! The backpressure contract: every request gets exactly one response.
 //! Requests arriving while the admission queue is full get an immediate

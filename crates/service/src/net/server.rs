@@ -4,9 +4,12 @@
 //!
 //! Threading model (all `std::thread`, no registry deps):
 //!
-//! * one **accept** thread owns the `TcpListener` and spawns a **reader**
-//!   thread per connection;
-//! * each reader decodes frames incrementally ([`crate::net::frame`]),
+//! * one **accept** thread owns the `TcpListener`, spawns a **reader**
+//!   thread per connection, and registers the connection (a clone of its
+//!   socket and the reader's handle) with the [`ServerHandle`]; a reader
+//!   removes its own entry when its connection ends;
+//! * each reader blocks in `read` and decodes frames incrementally
+//!   ([`crate::net::frame`]),
 //!   parses requests, and either answers directly (ping/stats/parse
 //!   errors/SHED) or admits a job to the shared [`BoundedQueue`] — requests
 //!   on one connection are **pipelined**: the reader keeps admitting while
@@ -23,19 +26,30 @@
 //! nanoseconds are fully attributed to queueing or execution, an invariant
 //! the load generator and CI verify on every response.
 //!
+//! The socket path adds no delay of its own: every accepted connection sets
+//! `TCP_NODELAY`. On a pipelined connection an answer is often written
+//! while an earlier one is still unacknowledged, and Nagle's algorithm
+//! (RFC 896) would hold it until the client's next request carries the ACK
+//! or the client's delayed-ACK timer (~40 ms) fires.
+//!
 //! Backpressure: admission is the only place requests can pile up, the
 //! queue is bounded, and overflow is answered with an explicit
 //! [`Response::Shed`] carrying the observed depth and capacity. Admitted
-//! jobs are never abandoned: shutdown closes the queue and the workers
-//! drain what was admitted before exiting.
+//! jobs are never abandoned. Shutdown runs in this order: stop the accept
+//! thread; shut the read half of every live connection, which ends each
+//! reader's blocking `read`, and join the readers; close the queue; let
+//! the workers drain what was admitted and join them. Write halves stay
+//! open throughout, so every admitted job is still answered.
 
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use cqt_core::{BatchScratch, ExecScratch};
+use rustc_hash::FxHashMap;
 
 use crate::batch::PreparedBatch;
 use crate::durability::DurabilityStats;
@@ -238,8 +252,7 @@ impl NetServer {
             repl_snapshots: AtomicU64::new(0),
             repl_lag_epochs: AtomicU64::new(0),
         });
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let connections: Arc<Mutex<Connections>> = Arc::default();
 
         let workers: Vec<_> = (0..config.workers.max(1))
             .map(|_| {
@@ -250,19 +263,34 @@ impl NetServer {
 
         let accept = {
             let shared = Arc::clone(&shared);
-            let readers = Arc::clone(&readers);
+            let connections = Arc::clone(&connections);
             let max_frame_len = config.max_frame_len;
             std::thread::spawn(move || {
-                for stream in listener.incoming() {
+                for (id, stream) in listener.incoming().enumerate() {
                     if shared.stop.load(Ordering::Relaxed) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    let shared = Arc::clone(&shared);
-                    let reader = std::thread::spawn(move || {
-                        connection_loop(&shared, stream, max_frame_len);
-                    });
-                    readers.lock().expect("reader registry lock").push(reader);
+                    let Ok(socket) = stream.try_clone() else {
+                        continue;
+                    };
+                    // Register under the lock the reader takes to remove
+                    // itself, so the entry exists before the reader can exit.
+                    // Removing its entry detaches the reader's own thread,
+                    // which has nothing left to run by then.
+                    let mut live = connections.lock().expect("connection registry lock");
+                    let reader = {
+                        let shared = Arc::clone(&shared);
+                        let connections = Arc::clone(&connections);
+                        std::thread::spawn(move || {
+                            connection_loop(&shared, stream, max_frame_len);
+                            connections
+                                .lock()
+                                .expect("connection registry lock")
+                                .remove(&id);
+                        })
+                    };
+                    live.insert(id, Connection { socket, reader });
                 }
             })
         };
@@ -272,18 +300,29 @@ impl NetServer {
             shared,
             accept: Some(accept),
             workers,
-            readers,
+            connections,
         })
     }
 }
+
+/// A live connection as the server handle sees it: a clone of its socket,
+/// so shutdown can end the reader's blocking `read`, and the reader thread.
+struct Connection {
+    socket: TcpStream,
+    reader: JoinHandle<()>,
+}
+
+/// The live connections by accept order. A reader removes its own entry
+/// when it exits, so closed connections do not accumulate.
+type Connections = FxHashMap<usize, Connection>;
 
 /// Owns the server's threads; dropping it shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accept: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+    connections: Arc<Mutex<Connections>>,
 }
 
 impl ServerHandle {
@@ -321,10 +360,15 @@ impl ServerHandle {
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = accept.join();
-        // Readers notice the stop flag within one read-timeout tick; join
-        // them before closing the queue so no producer outlives it.
-        for reader in self.readers.lock().expect("reader registry lock").drain(..) {
-            let _ = reader.join();
+        // Shutting the read half of each live socket ends its reader's
+        // blocking `read` with end-of-stream. The write half stays open, so
+        // admitted jobs are still answered. Join the readers before closing
+        // the queue so no producer outlives it; the registry lock is not
+        // held while joining, because an exiting reader takes it.
+        let live = std::mem::take(&mut *self.connections.lock().expect("connection registry lock"));
+        for connection in live.into_values() {
+            let _ = connection.socket.shutdown(Shutdown::Read);
+            let _ = connection.reader.join();
         }
         // Closing the queue lets workers drain what was admitted, answer
         // it, and exit.
@@ -342,12 +386,12 @@ impl Drop for ServerHandle {
 }
 
 /// One connection's read half: incremental frame decode, request parsing,
-/// admission.
+/// admission. The reader blocks in `read` until the peer closes, framing
+/// breaks, or shutdown shuts the socket's read half.
 fn connection_loop(shared: &Shared, stream: TcpStream, max_frame_len: u32) {
-    // A short read timeout turns the blocking read into a poll of the stop
-    // flag; the frame decoder is incremental, so a timeout mid-frame loses
-    // nothing.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    // Each answer leaves when it is written, not behind an unacknowledged
+    // earlier one (see the module docs on `TCP_NODELAY`).
+    let _ = stream.set_nodelay(true);
     let out = Arc::new(Mutex::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -355,12 +399,15 @@ fn connection_loop(shared: &Shared, stream: TcpStream, max_frame_len: u32) {
     let mut read_half = stream;
     let mut decoder = FrameBuffer::new(max_frame_len);
     let mut chunk = [0u8; 4096];
-    'conn: loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
+    // Shutting the read half ends a blocked `read`, but Linux still
+    // delivers bytes that were queued before, or arrive after, the
+    // shutdown; the stop flag ends the loop for a client that keeps
+    // sending.
+    'conn: while !shared.stop.load(Ordering::Relaxed) {
         match read_half.read(&mut chunk) {
-            Ok(0) => break, // peer closed
+            // End of stream: the peer closed, or shutdown shut the read
+            // half. A socket error ends the connection too.
+            Ok(0) | Err(_) => break,
             Ok(n) => {
                 decoder.push(&chunk[..n]);
                 loop {
@@ -373,13 +420,6 @@ fn connection_loop(shared: &Shared, stream: TcpStream, max_frame_len: u32) {
                     }
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
         }
     }
 }
@@ -732,6 +772,7 @@ mod tests {
     use crate::net::protocol::WireFanOut;
     use cqt_trees::parse::parse_term;
     use std::io::Write;
+    use std::time::Duration;
 
     fn test_corpus() -> Arc<Corpus> {
         let corpus = Arc::new(Corpus::new(2));
@@ -1090,6 +1131,99 @@ mod tests {
             call(&mut stream, &Request::Ping { id: 8 }),
             Response::Pong { id: 8 }
         );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_with_an_idle_connection_does_not_wait_on_a_timer() {
+        let mut times = Vec::new();
+        for _ in 0..5 {
+            let handle = NetServer::start(test_corpus(), NetServerConfig::default()).unwrap();
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            // One round trip: the reader is registered and now idle in `read`.
+            assert_eq!(
+                call(&mut stream, &Request::Ping { id: 1 }),
+                Response::Pong { id: 1 }
+            );
+            let start = Instant::now();
+            handle.shutdown();
+            times.push(start.elapsed());
+        }
+        times.sort_unstable();
+        assert!(
+            times[2] < Duration::from_millis(10),
+            "median shutdown took {:?} (all: {times:?})",
+            times[2]
+        );
+    }
+
+    #[test]
+    fn shutdown_stops_a_reader_whose_client_keeps_sending() {
+        let handle = NetServer::start(test_corpus(), NetServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        assert_eq!(
+            call(&mut stream, &Request::Ping { id: 1 }),
+            Response::Pong { id: 1 }
+        );
+        // One thread sends pings until the server closes the socket, one
+        // discards the pongs so the reader never blocks on its writes.
+        let mut sender = stream.try_clone().unwrap();
+        let ping = Request::Ping { id: 2 }.encode();
+        let sending = std::thread::spawn(move || while write_frame(&mut sender, &ping).is_ok() {});
+        let (flooding, flood) = std::sync::mpsc::channel();
+        let draining = std::thread::spawn(move || {
+            let mut sink = [0u8; 65536];
+            let mut flooding = Some(flooding);
+            let mut drained = 0;
+            loop {
+                match stream.read(&mut sink) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => drained += n,
+                }
+                if drained >= 1 << 16 {
+                    if let Some(flooding) = flooding.take() {
+                        let _ = flooding.send(());
+                    }
+                }
+            }
+        });
+        // Shut down only once 64 KiB of pongs show the flood is under way.
+        flood.recv().expect("the server answered the flood");
+        let (done, finished) = std::sync::mpsc::channel();
+        let shutting_down = std::thread::spawn(move || {
+            handle.shutdown();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown finished while the client kept sending");
+        shutting_down.join().unwrap();
+        sending.join().unwrap();
+        draining.join().unwrap();
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let handle = NetServer::start(test_corpus(), NetServerConfig::default()).unwrap();
+        for id in 0..50 {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            assert_eq!(
+                call(&mut stream, &Request::Ping { id }),
+                Response::Pong { id }
+            );
+        }
+        let live = || handle.connections.lock().unwrap().len();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while live() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(live(), 0, "every closed connection's reader removed itself");
         handle.shutdown();
     }
 
