@@ -130,19 +130,6 @@ pub fn arc_consistent_closure(
     Some(Prevaluation::from_sets(query, sets))
 }
 
-/// Boolean variant: runs the fixpoint and reports satisfiability of the arc
-/// consistency closure without materializing the result prevaluation.
-/// Used by tuple checking and per-candidate monadic evaluation, where only
-/// emptiness matters.
-pub fn arc_consistent_check(
-    tree: &Tree,
-    query: &ConjunctiveQuery,
-    start: &Prevaluation,
-    scratch: &mut AcScratch,
-) -> bool {
-    propagate(tree, query, start, scratch)
-}
-
 /// Core directed-arc worklist. Loads `start` into `scratch` (rank space) and
 /// runs revisions to the fixpoint. Returns `false` iff some candidate set
 /// became empty. On success the fixpoint is left in `scratch.sets`.
@@ -168,7 +155,7 @@ fn propagate(
         }
         tree.to_pre_space_into(domain, set);
     }
-    propagate_loaded(tree, query, scratch)
+    propagate_loaded(tree, query, scratch, None)
 }
 
 /// The revision loop of [`propagate`], operating on candidate sets that are
@@ -177,10 +164,15 @@ fn propagate(
 /// compiled-query fast path, which loads the start sets from a prepared
 /// tree's cached label sets instead of going through a raw-space
 /// [`Prevaluation`]. On success the fixpoint is left in `scratch.sets`.
+///
+/// `changed: None` seeds the worklist with every directed arc; `Some(v)`,
+/// for a fixpoint whose `v` has since shrunk, only the arcs `v` supports —
+/// the decide step of [`crate::enumerate`].
 pub(crate) fn propagate_loaded(
     tree: &Tree,
     query: &ConjunctiveQuery,
     scratch: &mut AcScratch,
+    changed: Option<Var>,
 ) -> bool {
     let atoms = query.axis_atoms();
     let n = tree.len();
@@ -204,11 +196,18 @@ pub(crate) fn propagate_loaded(
         scratch.deps[atom.from.index()].push(i as u32 * 2 + 1);
     }
 
-    // Seed the worklist with every directed arc.
     scratch.queue.clear();
-    scratch.queue.extend(0..2 * atoms.len() as u32);
     scratch.in_queue.clear();
-    scratch.in_queue.resize(2 * atoms.len(), true);
+    scratch.in_queue.resize(2 * atoms.len(), changed.is_none());
+    match changed {
+        None => scratch.queue.extend(0..2 * atoms.len() as u32),
+        Some(var) => {
+            for &dep in &scratch.deps[var.index()] {
+                scratch.in_queue[dep as usize] = true;
+            }
+            scratch.queue.extend(&scratch.deps[var.index()]);
+        }
+    }
 
     while let Some(arc) = scratch.queue.pop_front() {
         scratch.in_queue[arc as usize] = false;

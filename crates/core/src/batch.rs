@@ -229,7 +229,7 @@ impl BatchPlan {
         if empty_seed {
             // A step set is a superset of the satisfaction projection onto
             // its variable: empty step ⇒ no satisfaction, for *every*
-            // strategy (including the paths that ignore seeds).
+            // strategy (including MAC and naive, which ignore seeds).
             scratch.empty_short_circuits += 1;
             return match query.head_arity() {
                 0 => Answer::Boolean(false),

@@ -16,8 +16,8 @@
 //! [`PreparedTree`] the start candidate sets are loaded
 //! directly from the tree's cached pre-order rank-space label sets — the
 //! per-request set-up is a handful of block copies, with no raw-space
-//! [`crate::prevaluation::Prevaluation`] round-trip at all for Boolean and
-//! monadic queries on the tractable and acyclic paths.
+//! [`crate::prevaluation::Prevaluation`] round-trip at all on the tractable
+//! and acyclic paths, whatever the head arity.
 
 use cqt_query::graph::JoinForest;
 use cqt_query::ConjunctiveQuery;
@@ -25,6 +25,7 @@ use cqt_trees::{NodeId, NodeSet, Order, PreparedTree, Tree};
 
 use crate::arc::{propagate_loaded, AcScratch};
 use crate::engine::{Answer, EvalStrategy, SelectedStrategy};
+use crate::enumerate::{Enumerator, Fixpoint, Level};
 use crate::mac::MacSolver;
 use crate::naive::NaiveEvaluator;
 use crate::poly_eval::XPropertyEvaluator;
@@ -34,18 +35,21 @@ use crate::yannakakis::{reduce_loaded, YannakakisEvaluator};
 
 /// Reusable per-worker buffers for [`CompiledQuery`] execution.
 ///
-/// Holds the arc-consistency scratch plus the fixpoint snapshot and answer
-/// accumulator used by the monadic fast path. Buffers grow on first use and
-/// are reused across requests, so a worker thread that keeps one
-/// `ExecScratch` alive executes queries without allocating.
+/// Holds the arc-consistency scratch, the semi-join scratch set and the
+/// per-level buffers of the answer enumerator ([`crate::enumerate`]).
+/// Buffers grow on first use and are reused across requests, so a worker
+/// thread that keeps one `ExecScratch` alive allocates only the answers it
+/// returns.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     pub(crate) ac: AcScratch,
-    /// Snapshot of the global arc-consistency fixpoint (rank space), reloaded
-    /// per candidate in the monadic loop.
-    fixpoint: Vec<NodeSet>,
     /// Rank-space answer accumulator / semi-join scratch set.
-    answer: NodeSet,
+    pub(crate) answer: NodeSet,
+    /// One buffer set per enumerated head position.
+    pub(crate) levels: Vec<Level>,
+    /// The head tuple being built by the enumerator.
+    pub(crate) tuple: Vec<NodeId>,
+    pub(crate) steps: u64,
 }
 
 impl ExecScratch {
@@ -59,19 +63,27 @@ impl ExecScratch {
     pub fn ac_scratch(&mut self) -> &mut AcScratch {
         &mut self.ac
     }
+
+    /// The decide steps the answer enumerator has run with this scratch, one
+    /// per candidate it fixed: on an acyclic query, one per distinct answer
+    /// prefix of length 1..k−1. Tuple checks take their decide steps here
+    /// too, so a k-ary enumeration that checked candidate tuples would show.
+    pub fn enumeration_steps(&self) -> u64 {
+        self.steps
+    }
 }
 
 /// The tree a compiled query executes against: either a plain [`Tree`]
 /// (label sets converted per request) or a [`PreparedTree`] (label sets
 /// served from the shared rank-space cache).
 #[derive(Clone, Copy)]
-enum Ctx<'a> {
+pub(crate) enum Ctx<'a> {
     Plain(&'a Tree),
     Prepared(&'a PreparedTree),
 }
 
 impl<'a> Ctx<'a> {
-    fn tree(&self) -> &'a Tree {
+    pub(crate) fn tree(&self) -> &'a Tree {
         match self {
             Ctx::Plain(tree) => tree,
             Ctx::Prepared(prepared) => prepared.tree(),
@@ -91,6 +103,40 @@ impl<'a> Ctx<'a> {
                 None => set.clear(),
             },
         }
+    }
+
+    /// Loads the start candidate sets of `query` (every node, intersected
+    /// with the label sets of its unary atoms, then with any caller-provided
+    /// seeds) into `ac.sets` in pre-order rank space. Returns `false` if some
+    /// variable's set is already empty.
+    pub(crate) fn load_start(
+        &self,
+        query: &ConjunctiveQuery,
+        ac: &mut AcScratch,
+        seeds: &[(usize, &NodeSet)],
+    ) -> bool {
+        let n = self.tree().len();
+        let var_count = query.var_count();
+        ac.sets.resize_with(var_count, || NodeSet::empty(n));
+        for set in ac.sets[..var_count].iter_mut() {
+            if set.capacity() != n {
+                *set = NodeSet::empty(n);
+            }
+            set.clear();
+            set.insert_range(0, n);
+        }
+        for atom in query.label_atoms() {
+            self.intersect_label(&atom.label, &mut ac.sets[atom.var.index()]);
+        }
+        for (var, seed) in seeds {
+            debug_assert_eq!(
+                seed.capacity(),
+                n,
+                "seed sets live in this tree's rank space"
+            );
+            ac.sets[*var].intersect_with(seed);
+        }
+        ac.sets[..var_count].iter().all(|set| !set.is_empty())
     }
 }
 
@@ -206,11 +252,10 @@ impl CompiledQuery {
     /// onto that variable (any superset is sound; the batch layer derives
     /// seeds from hash-consed axis chains, which have exactly this
     /// property). Seeds are intersected into the start candidate sets after
-    /// the label atoms, shrinking the arc-consistency fixpoint the
-    /// Yannakakis and X̲-property paths iterate from. Strategy paths that do
-    /// not load start sets (MAC, naive, and the arity-≥2 tuple evaluators)
-    /// ignore seeds entirely — correctness never depends on them, only the
-    /// amount of fixpoint work does.
+    /// the label atoms, shrinking the fixpoint the Yannakakis and
+    /// X̲-property paths reduce and enumerate from, at every head arity. MAC
+    /// and naive execution do not load start sets and ignore seeds —
+    /// correctness never depends on them, only the amount of work does.
     pub fn execute_seeded(
         &self,
         prepared: &PreparedTree,
@@ -283,36 +328,7 @@ impl CompiledQuery {
 
     // ---- shared dispatch -------------------------------------------------
 
-    /// Loads the start candidate sets (every node, intersected with the label
-    /// sets of the query's unary atoms, then with any caller-provided seeds)
-    /// into `ac.sets` in pre-order rank space. Returns `false` if some
-    /// variable's set is already empty.
-    fn load_start(&self, ctx: Ctx<'_>, ac: &mut AcScratch, seeds: &[(usize, &NodeSet)]) -> bool {
-        let n = ctx.tree().len();
-        let var_count = self.query.var_count();
-        ac.sets.resize_with(var_count, || NodeSet::empty(n));
-        for set in ac.sets[..var_count].iter_mut() {
-            if set.capacity() != n {
-                *set = NodeSet::empty(n);
-            }
-            set.clear();
-            set.insert_range(0, n);
-        }
-        for atom in self.query.label_atoms() {
-            ctx.intersect_label(&atom.label, &mut ac.sets[atom.var.index()]);
-        }
-        for (var, seed) in seeds {
-            debug_assert_eq!(
-                seed.capacity(),
-                n,
-                "seed sets live in this tree's rank space"
-            );
-            ac.sets[*var].intersect_with(seed);
-        }
-        ac.sets[..var_count].iter().all(|set| !set.is_empty())
-    }
-
-    fn ensure_answer_capacity(scratch: &mut ExecScratch, n: usize) {
+    pub(crate) fn ensure_answer_capacity(scratch: &mut ExecScratch, n: usize) {
         if scratch.answer.capacity() != n {
             scratch.answer = NodeSet::empty(n);
         }
@@ -331,7 +347,7 @@ impl CompiledQuery {
                     .forest
                     .as_ref()
                     .expect("Yannakakis strategy requires an acyclic query");
-                if !self.load_start(ctx, &mut scratch.ac, seeds) {
+                if !ctx.load_start(&self.query, &mut scratch.ac, seeds) {
                     return false;
                 }
                 Self::ensure_answer_capacity(scratch, tree.len());
@@ -350,10 +366,10 @@ impl CompiledQuery {
                     self.order.is_some(),
                     "X-property strategy requires a tractable signature"
                 );
-                if !self.load_start(ctx, &mut scratch.ac, seeds) {
+                if !ctx.load_start(&self.query, &mut scratch.ac, seeds) {
                     return false;
                 }
-                propagate_loaded(tree, &self.query, &mut scratch.ac)
+                propagate_loaded(tree, &self.query, &mut scratch.ac, None)
             }
             SelectedStrategy::Mac => {
                 MacSolver::new(tree).eval_boolean_with(&self.query, &mut scratch.ac)
@@ -381,7 +397,7 @@ impl CompiledQuery {
                     .forest
                     .as_ref()
                     .expect("Yannakakis strategy requires an acyclic query");
-                if !self.load_start(ctx, &mut scratch.ac, seeds) {
+                if !ctx.load_start(&self.query, &mut scratch.ac, seeds) {
                     return NodeSet::empty(n);
                 }
                 Self::ensure_answer_capacity(scratch, n);
@@ -396,54 +412,7 @@ impl CompiledQuery {
                 }
                 tree.from_pre_space(&scratch.ac.sets[head.index()])
             }
-            SelectedStrategy::XProperty => {
-                assert!(
-                    self.order.is_some(),
-                    "X-property strategy requires a tractable signature"
-                );
-                if !self.load_start(ctx, &mut scratch.ac, seeds)
-                    || !propagate_loaded(tree, &self.query, &mut scratch.ac)
-                {
-                    return NodeSet::empty(n);
-                }
-                // Snapshot the global fixpoint, then re-propagate once per
-                // candidate of the head variable with the head restricted to
-                // that candidate — all in rank space, no allocation in the
-                // loop.
-                let var_count = self.query.var_count();
-                scratch
-                    .fixpoint
-                    .resize_with(var_count, || NodeSet::empty(n));
-                for (snapshot, set) in scratch
-                    .fixpoint
-                    .iter_mut()
-                    .zip(&scratch.ac.sets[..var_count])
-                {
-                    // clone_from adopts the capacity: the scratch may have
-                    // last served a tree of a different size.
-                    snapshot.clone_from(set);
-                }
-                Self::ensure_answer_capacity(scratch, n);
-                scratch.answer.clear();
-                let head_index = head.index();
-                let ExecScratch {
-                    ac,
-                    fixpoint,
-                    answer,
-                } = scratch;
-                for candidate in fixpoint[head_index].iter() {
-                    for (set, snapshot) in ac.sets[..var_count].iter_mut().zip(fixpoint.iter()) {
-                        set.copy_from(snapshot);
-                    }
-                    let head_set = &mut ac.sets[head_index];
-                    head_set.clear();
-                    head_set.insert(candidate);
-                    if propagate_loaded(tree, &self.query, ac) {
-                        answer.insert(candidate);
-                    }
-                }
-                tree.from_pre_space(answer)
-            }
+            SelectedStrategy::XProperty => self.enumerator(ctx).nodes(seeds, scratch),
             SelectedStrategy::Mac => {
                 MacSolver::new(tree).eval_monadic_with(&self.query, &mut scratch.ac)
             }
@@ -451,20 +420,34 @@ impl CompiledQuery {
         }
     }
 
-    fn tuples_ctx(&self, ctx: Ctx<'_>, scratch: &mut ExecScratch) -> Vec<Vec<NodeId>> {
+    /// The answer enumerator of the two tractable engines.
+    fn enumerator<'a>(&'a self, ctx: Ctx<'a>) -> Enumerator<'a> {
+        let fixpoint = match (self.strategy, &self.forest, self.order) {
+            (SelectedStrategy::Yannakakis, Some(forest), _) => Fixpoint::Reduce(forest),
+            (SelectedStrategy::Yannakakis, None, _) => {
+                panic!("Yannakakis strategy requires an acyclic query")
+            }
+            (_, _, order) => {
+                assert!(
+                    order.is_some(),
+                    "X-property strategy requires a tractable signature"
+                );
+                Fixpoint::Propagate
+            }
+        };
+        Enumerator::new(ctx, &self.query, fixpoint)
+    }
+
+    fn tuples_ctx(
+        &self,
+        ctx: Ctx<'_>,
+        scratch: &mut ExecScratch,
+        seeds: &[(usize, &NodeSet)],
+    ) -> Vec<Vec<NodeId>> {
         let tree = ctx.tree();
         match self.strategy {
-            SelectedStrategy::Yannakakis => YannakakisEvaluator::new(tree).eval_tuples_with_forest(
-                &self.query,
-                self.forest
-                    .as_ref()
-                    .expect("Yannakakis strategy requires an acyclic query"),
-            ),
-            SelectedStrategy::XProperty => {
-                let order = self
-                    .order
-                    .expect("X-property strategy requires a tractable signature");
-                XPropertyEvaluator::with_order(tree, order).eval_tuples(&self.query)
+            SelectedStrategy::Yannakakis | SelectedStrategy::XProperty => {
+                self.enumerator(ctx).tuples(seeds, scratch)
             }
             SelectedStrategy::Mac => {
                 MacSolver::new(tree).eval_tuples_with(&self.query, usize::MAX, &mut scratch.ac)
@@ -498,22 +481,8 @@ impl CompiledQuery {
     fn check_tuple_ctx(&self, ctx: Ctx<'_>, tuple: &[NodeId], scratch: &mut ExecScratch) -> bool {
         let tree = ctx.tree();
         match self.strategy {
-            SelectedStrategy::Yannakakis => YannakakisEvaluator::new(tree).check_tuple_with_forest(
-                &self.query,
-                self.forest
-                    .as_ref()
-                    .expect("Yannakakis strategy requires an acyclic query"),
-                tuple,
-            ),
-            SelectedStrategy::XProperty => {
-                let order = self
-                    .order
-                    .expect("X-property strategy requires a tractable signature");
-                XPropertyEvaluator::with_order(tree, order).check_tuple_with(
-                    &self.query,
-                    tuple,
-                    &mut scratch.ac,
-                )
+            SelectedStrategy::Yannakakis | SelectedStrategy::XProperty => {
+                self.enumerator(ctx).check(tuple, scratch)
             }
             SelectedStrategy::Mac => {
                 MacSolver::new(tree).check_tuple_with(&self.query, tuple, &mut scratch.ac)
@@ -531,7 +500,7 @@ impl CompiledQuery {
         match self.query.head_arity() {
             0 => Answer::Boolean(self.boolean_ctx(ctx, scratch, seeds)),
             1 => Answer::Nodes(self.monadic_ctx(ctx, scratch, seeds).iter().collect()),
-            _ => Answer::Tuples(self.tuples_ctx(ctx, scratch)),
+            _ => Answer::Tuples(self.tuples_ctx(ctx, scratch, seeds)),
         }
     }
 }
@@ -675,8 +644,8 @@ mod tests {
         let chain = CompiledQuery::parse("Q() :- A(w), Child(w, x), B(x).").unwrap();
         let cyclic = CompiledQuery::compile(figure1_query());
         let monadic = CompiledQuery::parse("Q(y) :- A(x), Child+(x, y), B(y).").unwrap();
-        // Cyclic-but-tractable and monadic → the X̲-property per-candidate
-        // loop, whose fixpoint snapshot must re-shape between tree sizes.
+        // Cyclic-but-tractable and monadic → the answer enumerator, whose
+        // per-level set buffers must re-shape between tree sizes.
         let xprop_monadic =
             CompiledQuery::parse("Q(y) :- A(x), Child+(x, y), Child*(x, y), B(y).").unwrap();
         assert_eq!(xprop_monadic.strategy(), SelectedStrategy::XProperty);

@@ -26,6 +26,8 @@
 //!   maintaining arc consistency (MAC) with minimum-remaining-values variable
 //!   ordering. Used for the NP-hard signatures of Section 5.
 //! * [`naive`] — a brute-force backtracking baseline without propagation.
+//! * [`enumerate`] — the fix-and-decide answer enumerator of both tractable
+//!   engines: one seeded propagation per fixed head candidate (Lemma 3.4).
 //! * [`yannakakis`] — semi-join based evaluation of acyclic queries
 //!   (Yannakakis' algorithm, referenced in Section 1 as the reason APQs are
 //!   desirable) and of acyclic positive queries.
@@ -48,6 +50,7 @@ pub mod arc;
 pub mod batch;
 pub mod compiled;
 pub mod engine;
+pub mod enumerate;
 pub mod mac;
 pub mod naive;
 pub mod poly_eval;

@@ -7,8 +7,10 @@
 //! algorithm for Boolean queries; a candidate answer tuple of a k-ary query
 //! can be checked in the same time by restricting the head variables to the
 //! tuple's nodes (equivalently, adding singleton unary relations as in the
-//! remark after Theorem 3.5), and the full answer relation can be enumerated
-//! in O(|A|^k · ‖A‖ · |Q|).
+//! remark after Theorem 3.5). The same restriction, one head variable at a
+//! time, enumerates the answer relation with polynomial delay: a fixed
+//! prefix either fails one propagation or extends to an answer
+//! ([`crate::enumerate`]).
 //!
 //! [`XPropertyEvaluator`] implements all of these. It refuses (at
 //! construction time) to evaluate queries whose signature is not tractable,
@@ -19,9 +21,9 @@ use cqt_query::ConjunctiveQuery;
 use cqt_trees::{NodeId, NodeSet, Order, Tree};
 use std::fmt;
 
-use crate::arc::{
-    arc_consistent_check, arc_consistent_prevaluation, initial_prevaluation, AcScratch,
-};
+use crate::arc::arc_consistent_prevaluation;
+use crate::compiled::{Ctx, ExecScratch};
+use crate::enumerate::{Enumerator, Fixpoint};
 use crate::prevaluation::Valuation;
 use crate::tractability::{SignatureAnalysis, Tractability};
 
@@ -99,6 +101,10 @@ impl<'t> XPropertyEvaluator<'t> {
         Some(valuation)
     }
 
+    fn enumerator<'a>(&'a self, query: &'a ConjunctiveQuery) -> Enumerator<'a> {
+        Enumerator::new(Ctx::Plain(self.tree), query, Fixpoint::Propagate)
+    }
+
     /// Checks whether `tuple` (one node per head variable, in head order) is
     /// in the answer of the k-ary query — the tuple-checking problem of the
     /// remark following Theorem 3.5.
@@ -106,112 +112,29 @@ impl<'t> XPropertyEvaluator<'t> {
     /// # Panics
     /// Panics if `tuple.len()` differs from the query's head arity.
     pub fn check_tuple(&self, query: &ConjunctiveQuery, tuple: &[NodeId]) -> bool {
-        self.check_tuple_with(query, tuple, &mut AcScratch::new())
-    }
-
-    /// [`XPropertyEvaluator::check_tuple`] with caller-provided propagation
-    /// buffers, for workers that serve many queries with one [`AcScratch`].
-    ///
-    /// # Panics
-    /// Panics if `tuple.len()` differs from the query's head arity.
-    pub fn check_tuple_with(
-        &self,
-        query: &ConjunctiveQuery,
-        tuple: &[NodeId],
-        scratch: &mut AcScratch,
-    ) -> bool {
-        assert_eq!(
-            tuple.len(),
-            query.head_arity(),
-            "answer tuple arity must match the query head"
-        );
-        let mut start = initial_prevaluation(self.tree, query);
-        for (&var, &node) in query.head().iter().zip(tuple) {
-            let singleton = NodeSet::from_nodes(self.tree.len(), [node]);
-            start.get_mut(var).intersect_with(&singleton);
-        }
-        arc_consistent_check(self.tree, query, &start, scratch)
+        self.enumerator(query).check(tuple, &mut ExecScratch::new())
     }
 
     /// Evaluates a monadic (unary) query: the set of nodes in the answer.
-    ///
-    /// Runs one global arc-consistency pass to obtain candidates and then one
-    /// tuple check per candidate, i.e. O(|A| · ‖A‖ · |Q|) in the worst case.
+    /// One global arc-consistency pass, then one decide step per candidate.
     ///
     /// # Panics
     /// Panics if the query is not monadic.
     pub fn eval_monadic(&self, query: &ConjunctiveQuery) -> NodeSet {
-        self.eval_monadic_with(query, &mut AcScratch::new())
+        self.enumerator(query).nodes(&[], &mut ExecScratch::new())
     }
 
-    /// [`XPropertyEvaluator::eval_monadic`] with caller-provided propagation
-    /// buffers.
-    ///
-    /// # Panics
-    /// Panics if the query is not monadic.
-    pub fn eval_monadic_with(&self, query: &ConjunctiveQuery, scratch: &mut AcScratch) -> NodeSet {
-        assert!(query.is_monadic(), "eval_monadic requires a unary query");
-        let head = query.head()[0];
-        let mut result = NodeSet::empty(self.tree.len());
-        let Some(global) = arc_consistent_prevaluation(self.tree, query) else {
-            return result;
-        };
-        // One propagation per candidate, all sharing the same scratch and the
-        // same restart prevaluation: the loop body allocates nothing.
-        let mut start = global.clone();
-        for candidate in global.get(head).iter() {
-            start.copy_from(&global);
-            start.restrict_to_singleton(head, candidate);
-            if arc_consistent_check(self.tree, query, &start, scratch) {
-                result.insert(candidate);
-            }
-        }
-        result
-    }
-
-    /// Enumerates the full answer relation of a k-ary query by checking every
-    /// combination of arc-consistent candidates for the head variables —
-    /// O(|A|^k · ‖A‖ · |Q|) as discussed after Theorem 3.5. Tuples are
-    /// returned in lexicographic order of node indices.
+    /// Enumerates the full answer relation of a k-ary query by fix and
+    /// decide ([`crate::enumerate`]): one arc-consistency pass, then one
+    /// decide step per candidate of each head position given its prefix.
+    /// The delay between two answers is O(k · |A| · ‖A‖ · |Q|), whatever the
+    /// product of the head domains. Tuples are returned in lexicographic
+    /// order of node indices.
     ///
     /// For Boolean queries this returns one empty tuple if the query is
     /// satisfied and nothing otherwise.
     pub fn eval_tuples(&self, query: &ConjunctiveQuery) -> Vec<Vec<NodeId>> {
-        let Some(global) = arc_consistent_prevaluation(self.tree, query) else {
-            return Vec::new();
-        };
-        if query.is_boolean() {
-            return vec![Vec::new()];
-        }
-        let domains: Vec<Vec<NodeId>> = query
-            .head()
-            .iter()
-            .map(|&v| global.get(v).iter().collect())
-            .collect();
-        let mut results = Vec::new();
-        let mut current = vec![NodeId::from_index(0); domains.len()];
-        self.enumerate_rec(query, &domains, 0, &mut current, &mut results);
-        results
-    }
-
-    fn enumerate_rec(
-        &self,
-        query: &ConjunctiveQuery,
-        domains: &[Vec<NodeId>],
-        position: usize,
-        current: &mut Vec<NodeId>,
-        results: &mut Vec<Vec<NodeId>>,
-    ) {
-        if position == domains.len() {
-            if self.check_tuple(query, current) {
-                results.push(current.clone());
-            }
-            return;
-        }
-        for &node in &domains[position] {
-            current[position] = node;
-            self.enumerate_rec(query, domains, position + 1, current, results);
-        }
+        self.enumerator(query).tuples(&[], &mut ExecScratch::new())
     }
 }
 

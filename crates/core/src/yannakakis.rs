@@ -14,7 +14,8 @@
 //! root-to-leaves). For tree-shaped binary constraint networks this makes
 //! every remaining candidate extensible to a satisfaction of its connected
 //! component, which yields Boolean evaluation, witness extraction, tuple
-//! checking, monadic evaluation and answer enumeration without backtracking.
+//! checking, monadic evaluation and answer enumeration without backtracking
+//! (the last two by fix and decide, [`crate::enumerate`]).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -24,6 +25,8 @@ use cqt_query::{ConjunctiveQuery, PositiveQuery, Var};
 use cqt_trees::{NodeId, NodeSet, Tree};
 
 use crate::arc::initial_prevaluation;
+use crate::compiled::{Ctx, ExecScratch};
+use crate::enumerate::{Enumerator, Fixpoint};
 use crate::prevaluation::{Prevaluation, Valuation};
 use crate::support::{revise_sources, revise_targets};
 
@@ -149,15 +152,6 @@ impl<'t> YannakakisEvaluator<'t> {
         Some(pre)
     }
 
-    fn reduced_prevaluation(
-        &self,
-        query: &ConjunctiveQuery,
-        start: Prevaluation,
-    ) -> Result<Option<Prevaluation>, NotAcyclicError> {
-        let forest = query.graph().join_forest().ok_or(NotAcyclicError)?;
-        Ok(self.reduce(query, &forest, start))
-    }
-
     /// Evaluates the Boolean reading of the acyclic query.
     pub fn eval_boolean(&self, query: &ConjunctiveQuery) -> Result<bool, NotAcyclicError> {
         Ok(self.witness(query)?.is_some())
@@ -224,6 +218,17 @@ impl<'t> YannakakisEvaluator<'t> {
         Some(valuation)
     }
 
+    /// Runs `f` on the fix-and-decide enumerator of the acyclic `query`.
+    fn enumerate<T>(
+        &self,
+        query: &ConjunctiveQuery,
+        f: impl FnOnce(Enumerator<'_>) -> T,
+    ) -> Result<T, NotAcyclicError> {
+        let forest = query.graph().join_forest().ok_or(NotAcyclicError)?;
+        let plain = Ctx::Plain(self.tree);
+        Ok(f(Enumerator::new(plain, query, Fixpoint::Reduce(&forest))))
+    }
+
     /// Whether `tuple` is an answer of the acyclic k-ary query.
     ///
     /// # Panics
@@ -233,106 +238,27 @@ impl<'t> YannakakisEvaluator<'t> {
         query: &ConjunctiveQuery,
         tuple: &[NodeId],
     ) -> Result<bool, NotAcyclicError> {
-        let forest = query.graph().join_forest().ok_or(NotAcyclicError)?;
-        Ok(self.check_tuple_with_forest(query, &forest, tuple))
+        self.enumerate(query, |e| e.check(tuple, &mut ExecScratch::new()))
     }
 
-    /// [`YannakakisEvaluator::check_tuple`] with a caller-provided join
-    /// forest.
-    ///
-    /// # Panics
-    /// Panics if the tuple arity differs from the head arity.
-    pub(crate) fn check_tuple_with_forest(
-        &self,
-        query: &ConjunctiveQuery,
-        forest: &JoinForest,
-        tuple: &[NodeId],
-    ) -> bool {
-        assert_eq!(tuple.len(), query.head_arity(), "tuple arity mismatch");
-        let mut start = initial_prevaluation(self.tree, query);
-        for (&var, &node) in query.head().iter().zip(tuple) {
-            let singleton = NodeSet::from_nodes(self.tree.len(), [node]);
-            start.get_mut(var).intersect_with(&singleton);
-        }
-        self.reduce(query, forest, start).is_some()
-    }
-
-    /// The answer set of an acyclic monadic query.
-    ///
-    /// After the two-pass reduction every remaining candidate of the head
-    /// variable participates in a satisfaction of its connected component, so
-    /// the answer is simply the head variable's reduced candidate set
-    /// (provided every other component is satisfiable, which the reduction
-    /// has already established).
+    /// The answer set of an acyclic monadic query: the head variable's
+    /// candidate set after the two-pass reduction.
     ///
     /// # Panics
     /// Panics if the query is not monadic.
     pub fn eval_monadic(&self, query: &ConjunctiveQuery) -> Result<NodeSet, NotAcyclicError> {
-        assert!(query.is_monadic(), "eval_monadic requires a unary query");
-        let head = query.head()[0];
-        let start = initial_prevaluation(self.tree, query);
-        match self.reduced_prevaluation(query, start)? {
-            Some(pre) => Ok(pre.get(head).clone()),
-            None => Ok(NodeSet::empty(self.tree.len())),
-        }
+        self.enumerate(query, |e| e.nodes(&[], &mut ExecScratch::new()))
     }
 
     /// The full answer relation of the acyclic k-ary query (sorted,
     /// deduplicated head tuples; one empty tuple for a satisfied Boolean
-    /// query).
+    /// query), enumerated by fix and decide from the full reduction
+    /// ([`crate::enumerate`]).
     pub fn eval_tuples(
         &self,
         query: &ConjunctiveQuery,
     ) -> Result<Vec<Vec<NodeId>>, NotAcyclicError> {
-        let forest = query.graph().join_forest().ok_or(NotAcyclicError)?;
-        Ok(self.eval_tuples_with_forest(query, &forest))
-    }
-
-    /// [`YannakakisEvaluator::eval_tuples`] with a caller-provided join
-    /// forest, built once instead of per enumerated candidate tuple.
-    pub(crate) fn eval_tuples_with_forest(
-        &self,
-        query: &ConjunctiveQuery,
-        forest: &JoinForest,
-    ) -> Vec<Vec<NodeId>> {
-        let start = initial_prevaluation(self.tree, query);
-        let Some(pre) = self.reduce(query, forest, start) else {
-            return Vec::new();
-        };
-        if query.is_boolean() {
-            return vec![Vec::new()];
-        }
-        let domains: Vec<Vec<NodeId>> = query
-            .head()
-            .iter()
-            .map(|&v| pre.get(v).iter().collect())
-            .collect();
-        let mut out = BTreeSet::new();
-        let mut current = Vec::with_capacity(domains.len());
-        self.enumerate_rec(query, forest, &domains, 0, &mut current, &mut out);
-        out.into_iter().collect()
-    }
-
-    fn enumerate_rec(
-        &self,
-        query: &ConjunctiveQuery,
-        forest: &JoinForest,
-        domains: &[Vec<NodeId>],
-        position: usize,
-        current: &mut Vec<NodeId>,
-        out: &mut BTreeSet<Vec<NodeId>>,
-    ) {
-        if position == domains.len() {
-            if self.check_tuple_with_forest(query, forest, current) {
-                out.insert(current.clone());
-            }
-            return;
-        }
-        for &node in &domains[position] {
-            current.push(node);
-            self.enumerate_rec(query, forest, domains, position + 1, current, out);
-            current.pop();
-        }
+        self.enumerate(query, |e| e.tuples(&[], &mut ExecScratch::new()))
     }
 
     // ---- acyclic positive queries (APQs) --------------------------------

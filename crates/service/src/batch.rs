@@ -270,6 +270,9 @@ impl PreparedBatch {
         let plan = &self.plans[u];
         let base = self.disjunct_base[u];
         let disjuncts = plan.disjuncts();
+        if let [disjunct] = disjuncts {
+            return self.batch_plan.execute(base, disjunct, prepared, scratch);
+        }
         match plan.head_arity() {
             0 => {
                 let mut found = false;
