@@ -2160,9 +2160,9 @@ fn check_batch_regression(ref_path: &str, batch_speedup: f64, batch_floor: f64) 
 /// 2. every recovered (document, query) answer fingerprint must equal the
 ///    mutation oracle's fingerprint **at the recovered epoch** — zero
 ///    divergences;
-/// 3. a read-only [`cqt_service::Follower`] tailing the same directory must
-///    agree answer-for-answer, including after the lost commit is re-issued
-///    on the recovered leader.
+/// 3. a read-only [`cqt_service::ReplicaFollower::local`] syncing from the
+///    same directory must agree answer-for-answer, including after the lost
+///    commit is re-issued on the recovered leader.
 fn serve_recover(
     smoke: bool,
     threads: Option<usize>,
@@ -2174,7 +2174,7 @@ fn serve_recover(
     use cqt_core::ExecScratch;
     use cqt_service::{
         answer_fingerprint, Corpus, CorpusMutationOracle, CorpusMutationWorkload, DocId,
-        Durability, Follower, Plan, QuerySpec, ServiceConfig, ServiceRunner,
+        Durability, Plan, QuerySpec, ReplicaFollower, ServiceConfig, ServiceRunner,
     };
     use cqt_trees::edit::EditScript;
     use cqt_trees::generate::{
@@ -2396,11 +2396,12 @@ fn serve_recover(
     };
     let (leader_checked, leader_divergences) = check_corpus(&recovered, "RECOVERY", &victim_epoch);
 
-    // A read-only follower opens over the same directory (catching up to
+    // A read-only follower syncs from the same directory (catching up to
     // the recovered state), then the lost commit is re-issued on the
     // recovered leader: the log resumes where the durable prefix ended and
-    // the next poll applies exactly that record incrementally.
-    let follower = Follower::open(dir.clone(), shards).unwrap_or_else(|error| {
+    // the next sync applies exactly that record incrementally.
+    let follower = ReplicaFollower::local(dir.clone(), shards);
+    follower.sync().unwrap_or_else(|error| {
         eprintln!("FOLLOWER FAILED: {error}");
         std::process::exit(1);
     });
@@ -2409,24 +2410,24 @@ fn serve_recover(
         .commit(victim, last_script)
         .expect("re-issued commit applies");
     assert_eq!(report.epoch, commits_per_doc, "log resumes past the tear");
-    let progress = follower.poll().unwrap_or_else(|error| {
+    let progress = follower.sync().unwrap_or_else(|error| {
         eprintln!("FOLLOWER FAILED: {error}");
         std::process::exit(1);
     });
     if progress.records_applied != 1 {
         eprintln!(
-            "FOLLOWER GATE FAILED: poll applied {} records (expected exactly the \
+            "FOLLOWER GATE FAILED: sync applied {} records (expected exactly the \
              re-issued commit)",
             progress.records_applied
         );
         std::process::exit(1);
     }
     let (follower_checked, follower_divergences) =
-        check_corpus(follower.corpus(), "FOLLOWER", &|_| commits_per_doc);
+        check_corpus(&follower.corpus(), "FOLLOWER", &|_| commits_per_doc);
     let checked = leader_checked + follower_checked;
     let divergences = leader_divergences + follower_divergences;
     println!(
-        "follower: caught up at open, then applied the re-issued commit incrementally; \
+        "follower: caught up on its first sync, then applied the re-issued commit incrementally; \
          {} fingerprints checked ({} leader, {} follower), {divergences} divergences",
         checked, leader_checked, follower_checked,
     );

@@ -1,5 +1,5 @@
 //! Durable write path: per-document write-ahead logs, periodic snapshots,
-//! crash recovery, and a read-only follower.
+//! and crash recovery.
 //!
 //! The in-memory corpus loses every committed epoch on restart. This
 //! module makes the write path durable with the classic log + snapshot
@@ -17,20 +17,18 @@
 //!   `snapshot-<epoch>.snap` (written to a temp file, fsync'd, renamed),
 //!   and the log is truncated: the log's only job is to cover the distance
 //!   back to the newest snapshot.
-//! * **Crash recovery.** [`recover_document`] loads the newest valid
-//!   snapshot and replays the log tail, verifying each record's checksum
-//!   and digest chain (`record.pre == previous.post`, and the replayed
-//!   tree's digest must equal `record.post`). A **truncated final record**
-//!   is tolerated — that is exactly what a crash mid-append leaves behind,
-//!   and the fsync barrier guarantees no committed epoch is in it — but
-//!   **mid-log corruption is refused** with a typed [`RecoveryError`]:
-//!   bytes the log claims were durable cannot be quietly dropped.
-//! * **Follower.** A [`Follower`] tails a leader's log directory into its
-//!   own read-only [`Corpus`], applying new records (or reloading from a
-//!   newer snapshot after a leader-side truncation) on every
-//!   [`Follower::poll`] — the read-scaling half of the design, checked for
-//!   per-epoch answer-fingerprint agreement by the `experiments recover`
-//!   harness and the oracle machinery.
+//! * **One verified scan.** `scan_document` is the only reader of a
+//!   document directory: the newest valid snapshot plus the log records
+//!   after it, with each record's checksum, the epoch sequence and the
+//!   pre-digest chain (`record.pre == previous.post`) verified. A
+//!   **truncated final record** is tolerated — that is exactly what a
+//!   crash mid-append leaves behind, and the fsync barrier guarantees no
+//!   committed epoch is in it — but **mid-log corruption is refused** with
+//!   a typed [`RecoveryError`]: bytes the log claims were durable cannot be
+//!   quietly dropped. Crash recovery ([`recover_document`]) replays the
+//!   scan, checking each replayed digest against `record.post`; promotion
+//!   ([`crate::replication::durable_positions`]) reads only its tip; log
+//!   shipping ([`crate::replication`]) streams it.
 //!
 //! # Failure model
 //!
@@ -60,21 +58,18 @@
 //! +-----------+---------------------------------------------+-----------+
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::hash::Hasher;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use cqt_trees::codec::{self, Reader};
 use cqt_trees::edit::EditScript;
 use cqt_trees::Tree;
 use rustc_hash::FxHasher;
-
-use crate::shard::Corpus;
 
 /// Magic prefix of a write-ahead log file.
 const WAL_MAGIC: &[u8; 4] = b"CQTW";
@@ -84,11 +79,13 @@ const SNAP_MAGIC: &[u8; 4] = b"CQTS";
 const FORMAT_VERSION: u8 = 1;
 /// Bytes of a WAL file header (magic + version).
 const WAL_HEADER_LEN: u64 = 5;
-/// The log file's name inside a document directory. Shared with the
-/// replication layer, which streams the same files over the wire.
+/// The log file's name inside a document directory.
 pub(crate) const WAL_FILE: &str = "wal.log";
+/// Suffix of a removed document's directory while it is being deleted.
+/// [`sanitize_doc_id`] never emits `~`, so no document directory has it.
+const REMOVED_SUFFIX: &str = "~removed";
 
-/// Whether (and where) a [`Corpus`] persists its write path.
+/// Whether (and where) a [`crate::Corpus`] persists its write path.
 #[derive(Clone, Debug, Default)]
 pub enum Durability {
     /// Keep every epoch in memory only (the historical behaviour; all
@@ -464,17 +461,17 @@ pub(crate) fn wal_record_from_frame(bytes: &[u8]) -> Result<WalRecord, String> {
     if checksum(body) != sum {
         return Err("record checksum mismatch".into());
     }
+    record_from_body(body).map_err(|e| format!("record fields: {e}"))
+}
+
+/// Decodes the fields of a checksum-verified record body.
+fn record_from_body(body: &[u8]) -> Result<WalRecord, codec::CodecError> {
     let mut r = Reader::new(body);
-    let field = |e: codec::CodecError| format!("record fields: {e}");
-    let epoch = r.u64().map_err(field)?;
-    let pre_digest = r.u64().map_err(field)?;
-    let post_digest = r.u64().map_err(field)?;
-    let script = r.take(r.remaining()).expect("remaining bytes").to_vec();
     Ok(WalRecord {
-        epoch,
-        pre_digest,
-        post_digest,
-        script,
+        epoch: r.u64()?,
+        pre_digest: r.u64()?,
+        post_digest: r.u64()?,
+        script: r.take(r.remaining())?.to_vec(),
     })
 }
 
@@ -497,20 +494,20 @@ impl WalRecord {
 /// The parse of one log file: the verified records, how many bytes of the
 /// file they cover, and how many trailing torn bytes were dropped.
 #[derive(Debug)]
-pub(crate) struct WalContents {
-    pub(crate) records: Vec<WalRecord>,
+struct WalContents {
+    records: Vec<WalRecord>,
     /// Bytes of valid prefix (header + whole records); the reopen path
     /// truncates the file to this length.
-    pub(crate) valid_bytes: u64,
+    valid_bytes: u64,
     /// Torn trailing bytes past the valid prefix (0 after a clean
     /// shutdown).
-    pub(crate) torn_bytes: u64,
+    torn_bytes: u64,
 }
 
 /// Parses a log file, tolerating a torn tail and refusing mid-log
 /// corruption. A missing file parses as empty (the crash window between
 /// directory creation and header write).
-pub(crate) fn read_wal(path: &Path) -> Result<WalContents, RecoveryError> {
+fn read_wal(path: &Path) -> Result<WalContents, RecoveryError> {
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -575,22 +572,12 @@ pub(crate) fn read_wal(path: &Path) -> Result<WalContents, RecoveryError> {
                 detail: "checksum mismatch before the end of the log".into(),
             });
         }
-        let mut r = Reader::new(body);
-        let field = |e: codec::CodecError, at: usize| RecoveryError::CorruptRecord {
+        let record = record_from_body(body).map_err(|e| RecoveryError::CorruptRecord {
             path: path.to_path_buf(),
-            record: at as u64,
+            record: records.len() as u64,
             detail: format!("record fields: {e}"),
-        };
-        let epoch = r.u64().map_err(|e| field(e, records.len()))?;
-        let pre_digest = r.u64().map_err(|e| field(e, records.len()))?;
-        let post_digest = r.u64().map_err(|e| field(e, records.len()))?;
-        let script = r.take(r.remaining()).expect("remaining bytes").to_vec();
-        records.push(WalRecord {
-            epoch,
-            pre_digest,
-            post_digest,
-            script,
-        });
+        })?;
+        records.push(record);
         pos = record_end;
     }
     Ok(WalContents {
@@ -769,9 +756,18 @@ impl DocWal {
     }
 
     /// Removes the document's directory from disk (used by corpus-level
-    /// document removal). Best-effort.
+    /// document removal). Best-effort. The directory is first renamed out
+    /// of [`doc_dirs`]' listing, so a concurrent scan sees the whole
+    /// document or none of it — never a snapshot whose log is already
+    /// deleted, which would ship the document at its snapshot epoch.
     pub(crate) fn remove_dir(&self) {
-        let _ = fs::remove_dir_all(&self.doc_dir);
+        let mut doomed = self.doc_dir.clone().into_os_string();
+        doomed.push(REMOVED_SUFFIX);
+        match fs::rename(&self.doc_dir, &doomed) {
+            Ok(()) => fs::remove_dir_all(doomed),
+            Err(_) => fs::remove_dir_all(&self.doc_dir),
+        }
+        .unwrap_or(());
     }
 
     /// This log's cumulative counters.
@@ -814,9 +810,8 @@ pub struct RecoveredDocument {
 
 /// The newest verified snapshot of a document directory; older snapshots
 /// are fallbacks (they can linger if a crash interrupted the post-snapshot
-/// cleanup). Shared by [`recover_document`] and the replication layer's
-/// leader-side scan.
-pub(crate) fn newest_snapshot(doc_dir: &Path) -> Result<Snapshot, RecoveryError> {
+/// cleanup).
+fn newest_snapshot(doc_dir: &Path) -> Result<Snapshot, RecoveryError> {
     let mut snapshot_epochs: Vec<u64> = fs::read_dir(doc_dir)
         .map_err(|e| io_err(doc_dir, e))?
         .flatten()
@@ -833,27 +828,67 @@ pub(crate) fn newest_snapshot(doc_dir: &Path) -> Result<Snapshot, RecoveryError>
     })
 }
 
-/// Recovers one document directory: newest valid snapshot + verified
-/// replay of the log tail. See the [module docs](self) for what is
-/// tolerated (torn final records) and what is refused (everything else).
-pub fn recover_document(doc_dir: &Path) -> Result<RecoveredDocument, RecoveryError> {
-    let snapshot = newest_snapshot(doc_dir)?;
+/// One document directory as [`scan_document`] read it: the newest valid
+/// snapshot and the verified log records after it.
+pub(crate) struct DocScan {
+    pub(crate) snapshot: Snapshot,
+    /// The records after the snapshot, epochs running contiguously from
+    /// `snapshot.epoch + 1`, each `pre_digest` equal to the previous
+    /// state's digest. Their `post_digest`s are as recorded, not replayed.
+    pub(crate) records: Vec<WalRecord>,
+    /// Leading log records at or below the snapshot epoch (a crash between
+    /// the snapshot write and the log truncation leaves these): the index
+    /// of `records[i]` in the whole log is `skipped + i`.
+    pub(crate) skipped: u64,
+    /// The log file scanned.
+    pub(crate) wal_path: PathBuf,
+    /// Torn trailing bytes dropped from the log (0 after a clean
+    /// shutdown).
+    pub(crate) torn_bytes: u64,
+    /// Bytes of the valid log prefix.
+    pub(crate) valid_bytes: u64,
+}
+
+impl DocScan {
+    /// The newest durable epoch.
+    pub(crate) fn tip_epoch(&self) -> u64 {
+        self.snapshot.epoch + self.records.len() as u64
+    }
+
+    /// The digest at `epoch`, which must lie in
+    /// `snapshot.epoch ..= tip_epoch`.
+    pub(crate) fn digest_at(&self, epoch: u64) -> u64 {
+        if epoch == self.snapshot.epoch {
+            self.snapshot.digest
+        } else {
+            self.records[(epoch - self.snapshot.epoch - 1) as usize].post_digest
+        }
+    }
+}
+
+/// Reads one document directory: the newest valid snapshot plus the log
+/// records after it, verifying record checksums, the epoch sequence and
+/// the pre-digest chain. Errors carry the record's index in the whole log.
+/// Nothing is replayed.
+///
+/// The log is read **before** the snapshot. Snapshots only move forward,
+/// so a snapshot read later can only cover more of the log already read;
+/// a writer rotating snapshots between the two reads cannot open a gap
+/// between them.
+pub(crate) fn scan_document(doc_dir: &Path) -> Result<DocScan, RecoveryError> {
     let wal_path = doc_dir.join(WAL_FILE);
     let contents = read_wal(&wal_path)?;
-    let mut tree = snapshot.tree;
-    let mut digest = snapshot.digest;
-    let mut epoch = snapshot.epoch;
-    let mut replayed = 0u64;
-    for (index, record) in contents.records.iter().enumerate() {
-        if record.epoch <= snapshot.epoch {
-            // Covered by the snapshot (a crash between snapshot write and
-            // log truncation leaves these behind); checksum-verified but
-            // not replayed.
-            continue;
-        }
+    let snapshot = newest_snapshot(doc_dir)?;
+    let mut records = contents.records;
+    let skipped = records
+        .iter()
+        .take_while(|record| record.epoch <= snapshot.epoch)
+        .count();
+    let (mut epoch, mut digest) = (snapshot.epoch, snapshot.digest);
+    for (index, record) in records.iter().enumerate().skip(skipped) {
         if record.epoch != epoch + 1 {
             return Err(RecoveryError::CorruptRecord {
-                path: wal_path.clone(),
+                path: wal_path,
                 record: index as u64,
                 detail: format!(
                     "epoch {} out of sequence (expected {})",
@@ -864,65 +899,93 @@ pub fn recover_document(doc_dir: &Path) -> Result<RecoveredDocument, RecoveryErr
         }
         if record.pre_digest != digest {
             return Err(RecoveryError::DigestChain {
-                path: wal_path.clone(),
+                path: wal_path,
                 record: index as u64,
                 expected: digest,
                 found: record.pre_digest,
             });
         }
-        let script = record.decode_script(&wal_path, index as u64)?;
-        let (next, _summary) = script.apply_to(&tree).map_err(|e| RecoveryError::Replay {
-            path: wal_path.clone(),
-            record: index as u64,
-            detail: e.to_string(),
-        })?;
+        epoch = record.epoch;
+        digest = record.post_digest;
+    }
+    records.drain(..skipped);
+    Ok(DocScan {
+        snapshot,
+        records,
+        skipped: skipped as u64,
+        wal_path,
+        torn_bytes: contents.torn_bytes,
+        valid_bytes: contents.valid_bytes,
+    })
+}
+
+/// Recovers one document directory: `scan_document` plus a replay of
+/// the scanned records, each replayed tree checked against the record's
+/// post-digest. See the [module docs](self) for what is tolerated (torn
+/// final records) and what is refused (everything else).
+pub fn recover_document(doc_dir: &Path) -> Result<RecoveredDocument, RecoveryError> {
+    let scan = scan_document(doc_dir)?;
+    let epoch = scan.tip_epoch();
+    let mut tree = scan.snapshot.tree;
+    for (offset, record) in scan.records.iter().enumerate() {
+        let index = scan.skipped + offset as u64;
+        let replay = |detail: String| RecoveryError::Replay {
+            path: scan.wal_path.clone(),
+            record: index,
+            detail,
+        };
+        let script = record.decode_script(&scan.wal_path, index)?;
+        let (next, _summary) = script.apply_to(&tree).map_err(|e| replay(e.to_string()))?;
         let next_digest = next.structure_digest();
         if next_digest != record.post_digest {
-            return Err(RecoveryError::Replay {
-                path: wal_path.clone(),
-                record: index as u64,
-                detail: format!(
-                    "replayed digest {next_digest:#018x} does not match recorded \
-                     post-digest {:#018x}",
-                    record.post_digest
-                ),
-            });
+            return Err(replay(format!(
+                "replayed digest {next_digest:#018x} does not match recorded \
+                 post-digest {:#018x}",
+                record.post_digest
+            )));
         }
         tree = next;
-        digest = next_digest;
-        epoch = record.epoch;
-        replayed += 1;
     }
+    let replayed_records = scan.records.len() as u64;
     Ok(RecoveredDocument {
-        doc_id: snapshot.doc_id,
-        tags: snapshot.tags,
+        doc_id: scan.snapshot.doc_id,
+        tags: scan.snapshot.tags,
         epoch,
         tree,
-        snapshot_epoch: snapshot.epoch,
-        replayed_records: replayed,
-        torn_bytes: contents.torn_bytes,
-        wal_records: contents.records.len() as u64,
-        wal_valid_bytes: contents.valid_bytes,
+        snapshot_epoch: scan.snapshot.epoch,
+        replayed_records,
+        torn_bytes: scan.torn_bytes,
+        wal_records: scan.skipped + replayed_records,
+        wal_valid_bytes: scan.valid_bytes,
     })
+}
+
+/// The document directories under `dir`, sorted by name. Directories of
+/// removed documents still being deleted are not listed.
+pub(crate) fn doc_dirs(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut doc_dirs = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        let removed = path.to_str().is_some_and(|p| p.ends_with(REMOVED_SUFFIX));
+        if path.is_dir() && !removed {
+            doc_dirs.push(path);
+        }
+    }
+    doc_dirs.sort();
+    Ok(doc_dirs)
 }
 
 /// Recovers every document directory under `dir`, sorted by directory
 /// name. A missing root directory recovers as an empty corpus.
 pub fn recover_corpus_dir(dir: &Path) -> Result<Vec<RecoveredDocument>, RecoveryError> {
-    let mut doc_dirs: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .flatten()
-            .filter(|entry| entry.path().is_dir())
-            .map(|entry| entry.path())
-            .collect(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(io_err(dir, e)),
-    };
-    doc_dirs.sort();
-    doc_dirs.iter().map(|d| recover_document(d)).collect()
+    match doc_dirs(dir) {
+        Ok(doc_dirs) => doc_dirs.iter().map(|d| recover_document(d)).collect(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(io_err(dir, e)),
+    }
 }
 
-/// Summary of one [`Corpus::open_durable`] recovery, for reports and the
+/// Summary of one [`crate::Corpus::open_durable`] recovery, for reports and the
 /// `experiments recover` harness.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
@@ -955,224 +1018,6 @@ impl RecoveryReport {
     pub fn torn_bytes(&self) -> u64 {
         self.documents.iter().map(|d| d.torn_bytes).sum()
     }
-}
-
-// ---- follower ----
-
-/// Per-document tail state of a [`Follower`].
-struct FollowerDoc {
-    epoch: u64,
-    digest: u64,
-}
-
-/// A read-only replica that tails a leader's log directory into its own
-/// [`Corpus`]. Each [`Follower::poll`] applies the records the leader
-/// appended since the last poll (verifying the same checksum/digest chain
-/// recovery does), or reloads from the newest snapshot when the leader
-/// truncated the log past the follower's position. The follower's corpus
-/// is read-only **by contract**: nothing else may commit to it, and the
-/// follower itself only applies leader records.
-pub struct Follower {
-    dir: PathBuf,
-    corpus: Arc<Corpus>,
-    state: Mutex<BTreeMap<String, FollowerDoc>>,
-}
-
-impl Follower {
-    /// Opens a follower over the leader log directory `dir`, catching up
-    /// to the current durable state immediately.
-    pub fn open(dir: impl Into<PathBuf>, shards: usize) -> Result<Follower, RecoveryError> {
-        let follower = Follower {
-            dir: dir.into(),
-            corpus: Arc::new(Corpus::new(shards)),
-            state: Mutex::new(BTreeMap::new()),
-        };
-        follower.poll()?;
-        Ok(follower)
-    }
-
-    /// The follower's serving corpus. Readers snapshot and evaluate
-    /// exactly as against a leader; commits are the follower's own
-    /// business only.
-    pub fn corpus(&self) -> &Arc<Corpus> {
-        &self.corpus
-    }
-
-    /// Tails the leader's directory once: applies every new durable
-    /// record (and picks up new or removed documents), returning how many
-    /// records were applied plus how many documents were (re)loaded from
-    /// snapshots.
-    pub fn poll(&self) -> Result<FollowerProgress, RecoveryError> {
-        let mut state = self.state.lock().expect("follower state lock poisoned");
-        let mut progress = FollowerProgress::default();
-        let mut seen: Vec<String> = Vec::new();
-        let mut doc_dirs: Vec<PathBuf> = match fs::read_dir(&self.dir) {
-            Ok(entries) => entries
-                .flatten()
-                .filter(|entry| entry.path().is_dir())
-                .map(|entry| entry.path())
-                .collect(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(&self.dir, e)),
-        };
-        doc_dirs.sort();
-        for doc_dir in doc_dirs {
-            let wal_path = doc_dir.join(WAL_FILE);
-            let contents = read_wal(&wal_path)?;
-            // Cheap id probe: the directory name is not authoritative, so
-            // full (re)loads go through recover_document; the incremental
-            // path only needs the records.
-            let known = contents.records.first().and_then(|first| {
-                state.iter().find_map(|(id, doc)| {
-                    (self.dir.join(sanitize_doc_id(id)) == doc_dir && doc.epoch + 1 >= first.epoch)
-                        .then(|| id.clone())
-                })
-            });
-            match known {
-                Some(doc_id) => {
-                    let doc = state.get_mut(&doc_id).expect("probed above");
-                    for (index, record) in contents.records.iter().enumerate() {
-                        if record.epoch <= doc.epoch {
-                            continue;
-                        }
-                        if record.pre_digest != doc.digest {
-                            return Err(RecoveryError::DigestChain {
-                                path: wal_path.clone(),
-                                record: index as u64,
-                                expected: doc.digest,
-                                found: record.pre_digest,
-                            });
-                        }
-                        let script = record.decode_script(&wal_path, index as u64)?;
-                        let report = self
-                            .corpus
-                            .commit(&doc_id.as_str().into(), &script)
-                            .map_err(|e| RecoveryError::Replay {
-                                path: wal_path.clone(),
-                                record: index as u64,
-                                detail: e.to_string(),
-                            })?;
-                        if report.epoch != record.epoch
-                            || report.structure_hash != record.post_digest
-                        {
-                            return Err(RecoveryError::Replay {
-                                path: wal_path.clone(),
-                                record: index as u64,
-                                detail: format!(
-                                    "applied epoch {} digest {:#018x}, record says epoch {} \
-                                     digest {:#018x}",
-                                    report.epoch,
-                                    report.structure_hash,
-                                    record.epoch,
-                                    record.post_digest
-                                ),
-                            });
-                        }
-                        doc.epoch = record.epoch;
-                        doc.digest = record.post_digest;
-                        progress.records_applied += 1;
-                    }
-                    seen.push(doc_id);
-                }
-                None => {
-                    // New document, or the leader truncated past our
-                    // position: full (re)load from the newest snapshot.
-                    let recovered = match recover_document(&doc_dir) {
-                        Ok(recovered) => recovered,
-                        Err(RecoveryError::NoSnapshot { .. }) => {
-                            // The snapshot-rotation (or document-creation)
-                            // window: the leader has renamed or not yet
-                            // renamed a snapshot into place, so no snapshot
-                            // is readable *right now*. That is not
-                            // corruption and emphatically not a removal —
-                            // keep whatever state we hold and retry on the
-                            // next poll.
-                            if let Some(id) = state
-                                .keys()
-                                .find(|id| self.dir.join(sanitize_doc_id(id)) == doc_dir)
-                                .cloned()
-                            {
-                                seen.push(id);
-                            }
-                            continue;
-                        }
-                        Err(error @ RecoveryError::Io { .. }) => {
-                            if fs::metadata(&doc_dir).is_err() {
-                                // The directory vanished between the
-                                // listing and the read: leave the verdict
-                                // to the confirmed-removal pass below.
-                                continue;
-                            }
-                            return Err(error);
-                        }
-                        Err(error) => return Err(error),
-                    };
-                    let doc_id = recovered.doc_id.clone();
-                    let known_epoch = state.get(&doc_id).map(|d| d.epoch);
-                    if known_epoch == Some(recovered.epoch) {
-                        seen.push(doc_id);
-                        continue;
-                    }
-                    if known_epoch.is_some() {
-                        self.corpus.remove(&doc_id.as_str().into());
-                    }
-                    let digest = recovered.tree.structure_digest();
-                    let epoch = recovered.epoch;
-                    self.corpus
-                        .insert_recovered(
-                            doc_id.as_str(),
-                            &recovered.tags,
-                            recovered.tree,
-                            epoch,
-                            None,
-                        )
-                        .map_err(|e| RecoveryError::Replay {
-                            path: doc_dir.clone(),
-                            record: 0,
-                            detail: e.to_string(),
-                        })?;
-                    state.insert(doc_id.clone(), FollowerDoc { epoch, digest });
-                    progress.documents_loaded += 1;
-                    seen.push(doc_id);
-                }
-            }
-        }
-        // Documents whose directory disappeared were removed by the
-        // leader — but only a *confirmed* absence counts. The directory
-        // listing above can transiently miss an entry while the leader is
-        // rotating snapshots, and removal is destructive on the follower
-        // (the tree and its replay position are dropped), so each
-        // candidate is re-probed directly before being removed. A probe
-        // that still finds the path — or fails for any reason other than
-        // `NotFound` — defers the verdict to the next poll.
-        let gone: Vec<String> = state
-            .keys()
-            .filter(|id| !seen.contains(id))
-            .cloned()
-            .collect();
-        for id in gone {
-            match fs::metadata(self.dir.join(sanitize_doc_id(&id))) {
-                Err(error) if error.kind() == std::io::ErrorKind::NotFound => {
-                    self.corpus.remove(&id.as_str().into());
-                    state.remove(&id);
-                    progress.documents_removed += 1;
-                }
-                _ => {}
-            }
-        }
-        Ok(progress)
-    }
-}
-
-/// What one [`Follower::poll`] did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FollowerProgress {
-    /// Log records applied incrementally.
-    pub records_applied: u64,
-    /// Documents loaded (or reloaded) from snapshots.
-    pub documents_loaded: u64,
-    /// Documents dropped because the leader removed them.
-    pub documents_removed: u64,
 }
 
 #[cfg(test)]
@@ -1336,6 +1181,35 @@ mod tests {
     }
 
     #[test]
+    fn removed_directories_leave_the_listing_at_once() {
+        let root = temp_dir("removed");
+        let tree = parse_term("R(A)").unwrap();
+        let kept = DocWal::create(&root, "kept", &[], 0, &tree).unwrap();
+        let gone = DocWal::create(&root, "gone", &[], 0, &tree).unwrap();
+        gone.remove_dir();
+        assert!(!root.join("gone").exists());
+        // A removal cut short after its rename leaves a whole document
+        // behind under the removed suffix: no scan may list it.
+        fs::rename(
+            root.join("kept"),
+            root.join(format!("kept{REMOVED_SUFFIX}")),
+        )
+        .unwrap();
+        assert!(recover_corpus_dir(&root).unwrap().is_empty());
+        fs::rename(
+            root.join(format!("kept{REMOVED_SUFFIX}")),
+            root.join("kept"),
+        )
+        .unwrap();
+        let recovered = recover_corpus_dir(&root).unwrap();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].doc_id, "kept");
+        kept.remove_dir();
+        assert_eq!(fs::read_dir(&root).unwrap().count(), 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn digest_chain_breaks_are_typed_errors() {
         let root = temp_dir("chain");
         let tree = parse_term("R(A)").unwrap();
@@ -1352,5 +1226,67 @@ mod tests {
             other => panic!("expected DigestChain, got {other}"),
         }
         let _ = fs::remove_dir_all(&root);
+
+        // A log that still holds records at or below its snapshot epoch —
+        // a crash between the snapshot write and the log truncation leaves
+        // one — then breaks at its third record (index 2 of the whole log).
+        // Recovery and promotion report the identical error, and the
+        // producer refuses to ship the chain: a local replica's sync fails
+        // and its position stays put.
+        for gap in [false, true] {
+            let root = temp_dir(if gap { "chain-gap" } else { "chain-pre" });
+            let tree = parse_term("R(A(B), C)").unwrap();
+            let wal = DocWal::create(&root, "doc", &[], 0, &tree).unwrap();
+            let mut current = tree.clone();
+            for (epoch, label) in [(1u64, "X"), (2, "Y")] {
+                let script = relabel(3, label);
+                let (next, _) = script.apply_to(&current).unwrap();
+                wal.append(
+                    epoch,
+                    current.structure_digest(),
+                    next.structure_digest(),
+                    &script,
+                );
+                current = next;
+            }
+            let doc_dir = root.join("doc");
+            write_snapshot(&doc_dir, "doc", &[], 2, &current).unwrap();
+            let recovered = recover_document(&doc_dir).unwrap();
+            assert_eq!((recovered.epoch, recovered.replayed_records), (2, 0));
+            assert_eq!(recovered.wal_records, 2);
+            let replica = crate::ReplicaFollower::local(&root, 1);
+            replica.sync().unwrap();
+            let before = replica.positions();
+            assert_eq!(before, crate::durable_positions(&root).unwrap());
+
+            let script = relabel(3, "Z");
+            let (next, _) = script.apply_to(&current).unwrap();
+            if gap {
+                wal.append(
+                    4,
+                    current.structure_digest(),
+                    next.structure_digest(),
+                    &script,
+                );
+            } else {
+                wal.append(3, 0xbad, next.structure_digest(), &script);
+            }
+            let from_recovery = recover_document(&doc_dir).unwrap_err();
+            let from_promotion = crate::durable_positions(&root).unwrap_err();
+            assert_eq!(from_recovery, from_promotion);
+            match from_recovery {
+                RecoveryError::CorruptRecord { record, .. } if gap => assert_eq!(record, 2),
+                RecoveryError::DigestChain { record, found, .. } if !gap => {
+                    assert_eq!((record, found), (2, 0xbad));
+                }
+                other => panic!("unexpected error {other}"),
+            }
+            assert!(matches!(
+                replica.sync(),
+                Err(crate::ReplicaError::Server(_))
+            ));
+            assert_eq!(replica.positions(), before);
+            let _ = fs::remove_dir_all(&root);
+        }
     }
 }

@@ -78,8 +78,8 @@
 //!   before it is visible), periodic snapshots bounding the log, typed
 //!   crash recovery ([`Corpus::open_durable`]) that replays the log tail
 //!   over the newest valid snapshot verifying the `structure_digest`
-//!   chain, and a read-only [`Follower`] that tails a leader's log
-//!   directory into its own corpus.
+//!   chain. One verified scan of a document directory serves recovery,
+//!   replication and promotion.
 //!
 //! * **serve over the network** — the [`net`] module puts the corpus behind
 //!   a std-only TCP front end: length-prefixed binary frames, pipelined
@@ -90,14 +90,16 @@
 //!   real sockets and cross-checks answer fingerprints against the
 //!   in-process [`ServiceRunner::run_corpus`] path.
 //!
-//! * **replicate across processes** — the [`replication`] module streams
-//!   the durable write path over the [`net`] front end: a `REPLICATE`
-//!   request subscribes a [`ReplicaFollower`] on another process (or
-//!   machine) to a leader's per-document logs, shipping write-ahead-log
-//!   records in their exact on-disk framing (checksums and
-//!   `structure_digest` chain re-verified on apply) with snapshot
-//!   fallback for followers behind the log's truncation horizon, and
-//!   reconnect-with-backoff catch-up that never loses applied progress.
+//! * **replicate** — the [`replication`] module ships the durable write
+//!   path to a read-only [`ReplicaFollower`]. One producer streams a
+//!   leader's log directory: write-ahead-log records in their exact
+//!   on-disk framing (checksums and `structure_digest` chain re-verified
+//!   on apply), with snapshot fallback for followers behind the log's
+//!   truncation horizon. The follower has two sources and one apply path:
+//!   a `REPLICATE` request to a leader's [`net`] front end on another
+//!   process or machine ([`ReplicaFollower::new`], with
+//!   reconnect-with-backoff catch-up that never loses applied progress),
+//!   or the leader's directory in-process ([`ReplicaFollower::local`]).
 //!   Failover is digest-gated: [`ReplicaFollower::promote`] opens the
 //!   replica for writes only when its positions exactly match the dead
 //!   leader's durable prefix ([`durable_positions`]).
@@ -147,8 +149,8 @@ pub mod workload;
 pub use batch::{BatchRequest, BatchWorkload, PreparedBatch};
 pub use corpus::{CommitReport, CorpusHandle, CorpusSnapshot, MutationOracle};
 pub use durability::{
-    recover_corpus_dir, recover_document, DocRecovery, Durability, DurabilityStats, Follower,
-    FollowerProgress, RecoveredDocument, RecoveryError, RecoveryReport,
+    recover_corpus_dir, recover_document, DocRecovery, Durability, DurabilityStats,
+    RecoveredDocument, RecoveryError, RecoveryReport,
 };
 pub use index::LabelIndex;
 pub use net::{NetServer, NetServerConfig, ServerHandle, ServerStats};

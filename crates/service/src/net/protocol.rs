@@ -123,12 +123,12 @@ pub enum Request {
     /// Subscribe this connection to a replication stream. The leader
     /// answers with a sequence of [`Response::ReplSnapshot`] and
     /// [`Response::ReplRecord`] frames (one per snapshot or write-ahead-log
-    /// record the follower is missing, in sorted document order)
-    /// terminated by one [`Response::ReplDone`] — all carrying the echoed
-    /// id. Replication is answered inline by the connection's reader
-    /// (never queued, never shed), so it belongs on a dedicated
-    /// connection: queries sent on the same socket wait behind the
-    /// stream.
+    /// record the follower is missing, in the sorted order of the leader's
+    /// document directories) terminated by one [`Response::ReplDone`] —
+    /// all carrying the echoed id. Replication is answered inline by the
+    /// connection's reader (never queued, never shed), so it belongs on a
+    /// dedicated connection: queries sent on the same socket wait behind
+    /// the stream.
     Replicate {
         /// Echoed id, carried on every frame of the stream.
         id: u64,

@@ -1,43 +1,48 @@
-//! Cross-process replication over the TCP front end.
+//! Log shipping: one producer streams a durable directory, one follower
+//! applies the stream, over TCP or in-process.
 //!
-//! A leader serving a **durable** corpus ([`crate::durability`]) answers
-//! [`Request::Replicate`] by streaming, per document, either the
+//! `stream_dir` is the producer. It reads each document directory of a
+//! durable log root through the verified scan crash recovery uses
+//! (`durability::scan_document`) and emits, per document, either the
 //! write-ahead-log records the follower is missing — in their exact
 //! on-disk framing, checksum and all — or a full snapshot when the
-//! follower is cold, behind the log's truncation horizon, or carries a
-//! digest the leader's chain never produced. The [`ReplicaFollower`] on
-//! the other end applies every frame through the same verification the
-//! crash-recovery path uses: record checksums, the strictly sequential
-//! epoch + `structure_digest` chain, and a post-apply digest comparison
-//! against what the record promised. A frame is applied (and the
-//! follower's position advanced) as soon as it arrives, so a connection
-//! torn mid-stream loses nothing: the next [`ReplicaFollower::sync`]
-//! resumes from the last applied epoch.
+//! follower is cold, behind the log's truncation horizon, ahead of the
+//! durable tip, or carries a digest the chain never produced. A leader
+//! answers [`Request::Replicate`] by running it over its WAL directory,
+//! so recovery, replication and promotion all trust the same files.
+//!
+//! A [`ReplicaFollower`] syncs from a leader's address
+//! ([`ReplicaFollower::new`]) or directory ([`ReplicaFollower::local`])
+//! and applies every frame through one path that re-verifies what
+//! recovery verifies: record checksums, the sequential epoch + digest
+//! chain, and the post-apply digest. A frame is applied (and the position
+//! advanced) as it arrives, so a stream torn mid-way loses nothing: the
+//! next [`ReplicaFollower::sync`] resumes from the last applied epoch.
 //!
 //! Failover is explicit and digest-gated: [`ReplicaFollower::promote`]
 //! compares the follower's positions against the dead leader's durable
-//! prefix ([`durable_positions`], a scan of the leader's directory that
-//! reads headers and digests without replaying trees) and hands the
-//! corpus over for writes only on an exact match — same documents, same
-//! epochs, same digests. Anything else is a typed [`PromoteError`].
+//! prefix ([`durable_positions`], the scan's tips without replaying
+//! trees) and hands the corpus over for writes only on an exact match —
+//! same documents, same epochs, same digests. Anything else is a typed
+//! [`PromoteError`].
 //!
-//! The stream rides the ordinary frame + protocol layers ([`crate::net`])
-//! so the differential tests can cut the connection at any byte offset;
-//! the catch-up algorithm and the promote preconditions are documented in
-//! `docs/ARCHITECTURE.md` ("Replication").
+//! The TCP stream rides the ordinary frame + protocol layers
+//! ([`crate::net`]) so the differential tests can cut the connection at
+//! any byte offset; the catch-up algorithm and the promote preconditions
+//! are documented in `docs/ARCHITECTURE.md` ("Replication").
 
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cqt_trees::codec;
 
 use crate::durability::{
-    newest_snapshot, read_wal, recover_document, sanitize_doc_id, wal_record_frame,
-    wal_record_from_frame, Durability, RecoveryError, WalRecord, WAL_FILE,
+    doc_dirs, recover_document, sanitize_doc_id, scan_document, wal_record_frame,
+    wal_record_from_frame, DocScan, Durability, RecoveryError,
 };
 use crate::net::frame::{write_frame, FRAME_HEADER_LEN};
 use crate::net::protocol::{Request, Response, WirePosition};
@@ -47,9 +52,10 @@ use crate::shard::Corpus;
 /// server's default inbound cap, [`crate::net::DEFAULT_MAX_FRAME_LEN`]).
 const MAX_REPL_FRAME_LEN: u32 = crate::net::DEFAULT_MAX_FRAME_LEN;
 
-/// How many times the leader re-reads a document's directory when a scan
-/// races the writer's snapshot rotation (snapshot renamed or log
-/// truncated between the two reads).
+/// How many times the producer scans a document directory before it gives
+/// up on a scan that keeps racing the writer (a snapshot rotation, or a
+/// document still being created, can leave no readable snapshot for a
+/// moment).
 const SCAN_ATTEMPTS: usize = 5;
 
 /// What one replication stream sent, accumulated leader-side for the
@@ -67,112 +73,69 @@ pub(crate) struct ReplTotals {
     pub(crate) lag_epochs: u64,
 }
 
-/// One document's durable state as scanned from disk: the newest readable
-/// snapshot plus the contiguous log records after it.
-struct DocScan {
-    snapshot: crate::durability::Snapshot,
-    records: Vec<WalRecord>,
+/// Whether `path` is confirmed absent: only a `NotFound` probe counts. Any
+/// other outcome (the path exists, or the probe failed for another
+/// reason) is not evidence of a removal.
+fn is_gone(path: &Path) -> bool {
+    matches!(std::fs::metadata(path), Err(e) if e.kind() == std::io::ErrorKind::NotFound)
 }
 
-impl DocScan {
-    /// The newest durable epoch.
-    fn tip_epoch(&self) -> u64 {
-        self.snapshot.epoch + self.records.len() as u64
+/// [`scan_document`] with up to [`SCAN_ATTEMPTS`] tries. `Ok(None)` skips
+/// the document for this stream: either it still has no readable snapshot
+/// (a deferral, never a removal) or its directory is gone (the stream's
+/// removal list reports that).
+fn scan_settled(doc_dir: &Path) -> Result<Option<DocScan>, RecoveryError> {
+    let mut scan = scan_document(doc_dir);
+    for _ in 1..SCAN_ATTEMPTS {
+        scan = scan.or_else(|_| scan_document(doc_dir));
     }
-
-    /// The digest at `epoch`, which must lie in
-    /// `snapshot.epoch ..= tip_epoch`.
-    fn digest_at(&self, epoch: u64) -> u64 {
-        if epoch == self.snapshot.epoch {
-            self.snapshot.digest
-        } else {
-            self.records[(epoch - self.snapshot.epoch - 1) as usize].post_digest
-        }
+    match scan {
+        Ok(scan) => Ok(Some(scan)),
+        Err(RecoveryError::NoSnapshot { .. }) => Ok(None),
+        Err(_) if is_gone(doc_dir) => Ok(None),
+        Err(error) => Err(error),
     }
 }
 
-/// Scans one document directory, retrying across the writer's snapshot
-/// rotation: between reading the snapshot and reading the log, the writer
-/// may have renamed a newer snapshot in and truncated the log, leaving a
-/// gap between the two reads. A consistent scan has its filtered records
-/// running contiguously from `snapshot.epoch + 1`.
+/// The log-shipping producer: streams the durable directory `dir` to a
+/// follower at `positions`, emitting per document a
+/// [`Response::ReplSnapshot`] and/or the [`Response::ReplRecord`]s it is
+/// missing, then one [`Response::ReplDone`]. `emit` returns `false` when
+/// the peer is gone, which ends the stream early.
 ///
-/// Returns `Ok(None)` when the directory is gone (the document was
-/// removed mid-stream).
-fn scan_document(doc_dir: &Path) -> Result<Option<DocScan>, String> {
-    let mut last_error = String::new();
-    for _ in 0..SCAN_ATTEMPTS {
-        if std::fs::metadata(doc_dir).is_err() {
-            return Ok(None);
-        }
-        let snapshot = match newest_snapshot(doc_dir) {
-            Ok(snapshot) => snapshot,
-            Err(error) => {
-                // Mid-rotation (or mid-create) the directory can briefly
-                // hold no readable snapshot; re-scan.
-                last_error = error.to_string();
-                continue;
-            }
-        };
-        let contents = match read_wal(&doc_dir.join(WAL_FILE)) {
-            Ok(contents) => contents,
-            Err(error) => {
-                last_error = error.to_string();
-                continue;
-            }
-        };
-        let records: Vec<WalRecord> = contents
-            .records
-            .into_iter()
-            .filter(|record| record.epoch > snapshot.epoch)
-            .collect();
-        let contiguous = records
-            .iter()
-            .enumerate()
-            .all(|(i, record)| record.epoch == snapshot.epoch + 1 + i as u64);
-        if !contiguous {
-            last_error = format!(
-                "log records do not run contiguously from snapshot epoch {}",
-                snapshot.epoch
-            );
-            continue;
-        }
-        return Ok(Some(DocScan { snapshot, records }));
-    }
-    Err(format!(
-        "document scan did not stabilize after {SCAN_ATTEMPTS} attempts: {last_error}"
-    ))
-}
-
-/// Serves one [`Request::Replicate`]: decides, per document, between
-/// incremental records and a full snapshot, and emits the stream's frames
-/// through `emit` (which returns `false` when the peer is gone, aborting
-/// the stream). The terminal [`Response::ReplDone`] is emitted here too.
-///
-/// Requires a durable corpus — an in-memory corpus has no log to stream.
-pub(crate) fn replicate_stream(
-    corpus: &Corpus,
+/// A document whose scan fails verification (a broken digest chain, an
+/// epoch gap, mid-log corruption) fails the stream with that
+/// [`RecoveryError`] **before** any of its frames is emitted. A document
+/// with no readable snapshot after the retries is skipped for this
+/// stream. A position is listed as removed only when a direct probe of
+/// its directory returns `NotFound`. A missing `dir` streams as empty.
+pub(crate) fn stream_dir(
+    dir: &Path,
     id: u64,
     positions: &[WirePosition],
     emit: &mut dyn FnMut(&Response) -> bool,
-) -> Result<ReplTotals, String> {
-    let Durability::Wal { dir, .. } = corpus.durability() else {
-        return Err("replication requires a durable corpus".to_string());
+) -> Result<ReplTotals, RecoveryError> {
+    let doc_dirs = match doc_dirs(dir) {
+        Ok(doc_dirs) => doc_dirs,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => {
+            return Err(RecoveryError::Io {
+                path: dir.to_path_buf(),
+                detail: e.to_string(),
+            })
+        }
     };
     let by_doc: BTreeMap<&str, &WirePosition> = positions
         .iter()
         .map(|position| (position.doc_id.as_str(), position))
         .collect();
     let mut totals = ReplTotals::default();
-    for document in corpus.documents().iter() {
-        let doc_id = document.id().as_str().to_string();
-        let doc_dir = dir.join(sanitize_doc_id(&doc_id));
-        let Some(scan) = scan_document(&doc_dir)? else {
-            // Removed while we were streaming: the follower keeps its copy
-            // for now and drops it on a later stream's `removed` list.
+    for doc_dir in doc_dirs {
+        let Some(scan) = scan_settled(&doc_dir)? else {
             continue;
         };
         totals.documents += 1;
+        let doc_id = &scan.snapshot.doc_id;
         let tip = scan.tip_epoch();
         // The follower resumes incrementally iff its position lies on the
         // leader's durable chain: an epoch the scan covers, carrying the
@@ -209,10 +172,7 @@ pub(crate) fn replicate_stream(
                 scan.snapshot.epoch
             }
         };
-        for record in &scan.records {
-            if record.epoch <= from {
-                continue;
-            }
+        for record in &scan.records[(from - scan.snapshot.epoch) as usize..] {
             totals.records += 1;
             let frame = Response::ReplRecord {
                 id,
@@ -226,7 +186,7 @@ pub(crate) fn replicate_stream(
     }
     let removed: Vec<String> = positions
         .iter()
-        .filter(|position| corpus.get(&position.doc_id.as_str().into()).is_none())
+        .filter(|position| is_gone(&dir.join(sanitize_doc_id(&position.doc_id))))
         .map(|position| position.doc_id.clone())
         .collect();
     emit(&Response::ReplDone {
@@ -239,6 +199,21 @@ pub(crate) fn replicate_stream(
     Ok(totals)
 }
 
+/// Serves one [`Request::Replicate`]: [`stream_dir`] over the corpus's WAL
+/// directory. Requires a durable corpus — an in-memory corpus has no log
+/// to stream.
+pub(crate) fn replicate_stream(
+    corpus: &Corpus,
+    id: u64,
+    positions: &[WirePosition],
+    emit: &mut dyn FnMut(&Response) -> bool,
+) -> Result<ReplTotals, String> {
+    let Durability::Wal { dir, .. } = corpus.durability() else {
+        return Err("replication requires a durable corpus".to_string());
+    };
+    stream_dir(dir, id, positions, emit).map_err(|error| error.to_string())
+}
+
 /// Why a [`ReplicaFollower`] sync failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplicaError {
@@ -247,8 +222,9 @@ pub enum ReplicaError {
     Io(String),
     /// A frame arrived but could not be decoded as a response.
     Wire(String),
-    /// The leader answered the subscription with an error (or an
-    /// unexpected frame kind).
+    /// The leader refused the stream (a directory that fails its verified
+    /// scan, such as a broken digest chain) or sent an unexpected frame
+    /// kind.
     Server(String),
     /// A frame decoded but failed verification or application: a record
     /// checksum, the digest chain, or the commit's outcome disagreed with
@@ -347,16 +323,27 @@ impl std::fmt::Display for PromoteError {
 
 impl std::error::Error for PromoteError {}
 
-/// A follower replica fed over a socket instead of a shared directory
-/// (compare [`crate::durability::Follower`]).
+/// Where a [`ReplicaFollower`] reads the leader's stream from.
+enum Source {
+    /// A leader's [`crate::net`] front end, via [`Request::Replicate`].
+    Tcp(SocketAddr),
+    /// A leader's durable log directory, streamed in-process.
+    Dir(PathBuf),
+}
+
+/// A read-only replica of a durable leader, fed over a socket
+/// ([`ReplicaFollower::new`]) or straight from the leader's log directory
+/// ([`ReplicaFollower::local`]).
 ///
 /// The replica's corpus is plain in-memory ([`Durability::None`]): its
 /// durability is the leader's. Every applied record re-runs the full
 /// verification chain — frame checksum, sequential epoch, pre-digest
 /// match, post-commit digest match — so a replica is only ever at states
-/// the leader's durable log actually produced.
+/// the leader's durable log actually produced. The corpus is read-only
+/// **by contract** until [`promote`](ReplicaFollower::promote): nothing
+/// else may commit to it.
 pub struct ReplicaFollower {
-    addr: SocketAddr,
+    source: Source,
     corpus: Arc<Corpus>,
     /// Per-document `(epoch, digest)` the replica has applied up to.
     state: Mutex<BTreeMap<String, (u64, u64)>>,
@@ -368,8 +355,21 @@ impl ReplicaFollower {
     ///
     /// [`sync`]: ReplicaFollower::sync
     pub fn new(addr: SocketAddr, shards: usize) -> Self {
+        Self::with_source(Source::Tcp(addr), shards)
+    }
+
+    /// A cold replica that will sync from the leader's durable log
+    /// directory `dir` (the `dir` of its [`Durability::Wal`]) into a fresh
+    /// `shards`-way corpus. No I/O happens until [`sync`].
+    ///
+    /// [`sync`]: ReplicaFollower::sync
+    pub fn local(dir: impl Into<PathBuf>, shards: usize) -> Self {
+        Self::with_source(Source::Dir(dir.into()), shards)
+    }
+
+    fn with_source(source: Source, shards: usize) -> Self {
         ReplicaFollower {
-            addr,
+            source,
             corpus: Arc::new(Corpus::new(shards)),
             state: Mutex::new(BTreeMap::new()),
         }
@@ -381,13 +381,13 @@ impl ReplicaFollower {
         Arc::clone(&self.corpus)
     }
 
-    /// Points the replica at a different leader address for subsequent
-    /// [`sync`]s, keeping its corpus and positions. Used when a leader
-    /// comes back (or a promoted peer takes over) somewhere else.
+    /// Points the replica at a leader address for subsequent [`sync`]s,
+    /// keeping its corpus and positions. Used when a leader comes back (or
+    /// a promoted peer takes over) somewhere else.
     ///
     /// [`sync`]: ReplicaFollower::sync
     pub fn retarget(&mut self, addr: SocketAddr) {
-        self.addr = addr;
+        self.source = Source::Tcp(addr);
     }
 
     /// The replica's per-document positions, as it would subscribe with.
@@ -403,65 +403,90 @@ impl ReplicaFollower {
             .collect()
     }
 
-    /// One subscription round trip: connect, subscribe with the current
-    /// positions, apply frames until [`Response::ReplDone`].
+    /// One subscription round: stream from the source with the current
+    /// positions and apply frames until [`Response::ReplDone`].
     ///
     /// Every frame is applied (and the position advanced) as it arrives,
     /// so an error mid-stream — a torn connection included — loses no
     /// applied progress: the next `sync` resumes from the new positions.
     pub fn sync(&self) -> Result<ReplicaProgress, ReplicaError> {
-        let io = |error: std::io::Error| ReplicaError::Io(error.to_string());
-        let mut stream = TcpStream::connect(self.addr).map_err(io)?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .map_err(io)?;
-        let request = Request::Replicate {
-            id: 0,
-            positions: self.positions(),
-        };
-        write_frame(&mut stream, &request.encode()).map_err(io)?;
         let mut progress = ReplicaProgress {
             attempts: 1,
             ..ReplicaProgress::default()
         };
-        loop {
-            let payload = read_one_frame(&mut stream).map_err(io)?;
-            let response = Response::decode(&payload)
-                .map_err(|error| ReplicaError::Wire(error.to_string()))?;
-            match response {
-                Response::ReplSnapshot {
-                    doc_id,
-                    tags,
-                    epoch,
-                    digest,
-                    tree,
-                    ..
-                } => {
-                    self.apply_snapshot(&doc_id, &tags, epoch, digest, &tree)?;
-                    progress.snapshots_loaded += 1;
-                }
-                Response::ReplRecord { doc_id, frame, .. } => {
-                    self.apply_record(&doc_id, &frame)?;
-                    progress.records_applied += 1;
-                }
-                Response::ReplDone { removed, .. } => {
-                    let mut state = self.state.lock().expect("replica state lock");
-                    for doc_id in removed {
-                        if state.remove(&doc_id).is_some() {
-                            self.corpus.remove(&doc_id.as_str().into());
-                            progress.documents_removed += 1;
-                        }
+        let positions = self.positions();
+        match &self.source {
+            Source::Tcp(addr) => {
+                let io = |error: std::io::Error| ReplicaError::Io(error.to_string());
+                let mut stream = TcpStream::connect(addr).map_err(io)?;
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .map_err(io)?;
+                let request = Request::Replicate { id: 0, positions };
+                write_frame(&mut stream, &request.encode()).map_err(io)?;
+                loop {
+                    let payload = read_one_frame(&mut stream).map_err(io)?;
+                    let response = Response::decode(&payload)
+                        .map_err(|error| ReplicaError::Wire(error.to_string()))?;
+                    if self.receive(&response, &mut progress)? {
+                        return Ok(progress);
                     }
-                    return Ok(progress);
-                }
-                Response::Error { message, .. } => return Err(ReplicaError::Server(message)),
-                other => {
-                    return Err(ReplicaError::Server(format!(
-                        "unexpected frame in replication stream: {other:?}"
-                    )))
                 }
             }
+            Source::Dir(dir) => {
+                // A frame that fails to apply ends the stream early; its
+                // error is the sync's.
+                let mut applied = Ok(false);
+                stream_dir(dir, 0, &positions, &mut |frame| {
+                    applied = self.receive(frame, &mut progress);
+                    applied.is_ok()
+                })
+                .map_err(|error| ReplicaError::Server(error.to_string()))?;
+                applied.map(|_| progress)
+            }
         }
+    }
+
+    /// Applies one stream frame, returning whether it ended the stream.
+    fn receive(
+        &self,
+        frame: &Response,
+        progress: &mut ReplicaProgress,
+    ) -> Result<bool, ReplicaError> {
+        match frame {
+            Response::ReplSnapshot {
+                doc_id,
+                tags,
+                epoch,
+                digest,
+                tree,
+                ..
+            } => {
+                self.apply_snapshot(doc_id, tags, *epoch, *digest, tree)?;
+                progress.snapshots_loaded += 1;
+            }
+            Response::ReplRecord { doc_id, frame, .. } => {
+                self.apply_record(doc_id, frame)?;
+                progress.records_applied += 1;
+            }
+            Response::ReplDone { removed, .. } => {
+                let mut state = self.state.lock().expect("replica state lock");
+                for doc_id in removed {
+                    if state.remove(doc_id).is_some() {
+                        self.corpus.remove(&doc_id.as_str().into());
+                        progress.documents_removed += 1;
+                    }
+                }
+                return Ok(true);
+            }
+            Response::Error { message, .. } => return Err(ReplicaError::Server(message.clone())),
+            other => {
+                return Err(ReplicaError::Server(format!(
+                    "unexpected frame in replication stream: {other:?}"
+                )))
+            }
+        }
+        Ok(false)
     }
 
     /// [`sync`] with reconnect-on-failure: up to `attempts` tries, sleeping
@@ -624,56 +649,23 @@ fn read_one_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
 }
 
 /// Scans a (dead) leader's durable directory into per-document positions
-/// — newest snapshot epoch plus the contiguous log records after it —
-/// **without** replaying any trees. This is the reference
-/// [`ReplicaFollower::promote`] checks a candidate follower against.
-///
-/// The scan verifies what it reads the way recovery would: record
-/// checksums (via the log reader), strictly sequential epochs, and the
-/// pre/post digest chain from the snapshot; a broken chain is a
-/// [`RecoveryError`], not a position.
+/// — each document's verified scan tip — **without** replaying any trees.
+/// This is the reference [`ReplicaFollower::promote`] checks a candidate
+/// follower against. A document whose scan fails verification is a
+/// [`RecoveryError`], the same one [`recover_document`] returns.
 pub fn durable_positions(dir: &Path) -> Result<Vec<WirePosition>, RecoveryError> {
-    let io = |path: &Path, error: std::io::Error| RecoveryError::Io {
-        path: path.to_path_buf(),
+    let doc_dirs = doc_dirs(dir).map_err(|error| RecoveryError::Io {
+        path: dir.to_path_buf(),
         detail: error.to_string(),
-    };
+    })?;
     let mut positions = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|error| io(dir, error))?;
-    let mut doc_dirs: Vec<std::path::PathBuf> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|error| io(dir, error))?;
-        if entry.path().is_dir() {
-            doc_dirs.push(entry.path());
-        }
-    }
-    doc_dirs.sort();
     for doc_dir in doc_dirs {
-        let snapshot = newest_snapshot(&doc_dir)?;
-        let wal_path = doc_dir.join(WAL_FILE);
-        let contents = read_wal(&wal_path)?;
-        let mut epoch = snapshot.epoch;
-        let mut digest = snapshot.digest;
-        for (index, record) in contents
-            .records
-            .iter()
-            .filter(|record| record.epoch > snapshot.epoch)
-            .enumerate()
-        {
-            if record.epoch != epoch + 1 || record.pre_digest != digest {
-                return Err(RecoveryError::DigestChain {
-                    path: wal_path.clone(),
-                    record: index as u64,
-                    expected: digest,
-                    found: record.pre_digest,
-                });
-            }
-            epoch = record.epoch;
-            digest = record.post_digest;
-        }
+        let scan = scan_document(&doc_dir)?;
+        let epoch = scan.tip_epoch();
         positions.push(WirePosition {
-            doc_id: snapshot.doc_id.clone(),
+            digest: scan.digest_at(epoch),
             epoch,
-            digest,
+            doc_id: scan.snapshot.doc_id,
         });
     }
     // `recover_document` proves each position is actually reachable by
@@ -688,6 +680,8 @@ pub fn durable_positions(dir: &Path) -> Result<Vec<WirePosition>, RecoveryError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::{WalRecord, WAL_FILE};
+    use crate::net::{NetServer, NetServerConfig};
     use cqt_trees::edit::{EditScript, TreeEdit};
     use cqt_trees::parse::parse_term;
     use std::path::PathBuf;
@@ -854,6 +848,16 @@ mod tests {
         assert_eq!((a.epoch, a.digest), (1, report.structure_hash));
         let b = positions.iter().find(|p| p.doc_id == "doc-b").unwrap();
         assert_eq!(b.epoch, 0);
+        // Two replicas at the good tip, one per source.
+        let server = NetServer::start(Arc::clone(&corpus), NetServerConfig::default()).unwrap();
+        let replicas = [
+            ReplicaFollower::new(server.addr(), 2),
+            ReplicaFollower::local(&dir, 2),
+        ];
+        for replica in &replicas {
+            replica.sync().unwrap();
+            assert_eq!(replica.positions(), positions);
+        }
         // Break doc-a's chain: append a well-framed, checksummed record
         // whose pre-digest the chain never produced. The scan must refuse
         // with a DigestChain error rather than report a position.
@@ -874,6 +878,13 @@ mod tests {
             durable_positions(&dir),
             Err(RecoveryError::DigestChain { .. })
         ));
+        // The producer refuses the same chain before streaming doc-a, over
+        // either source, and neither replica's position moves.
+        for replica in &replicas {
+            assert!(matches!(replica.sync(), Err(ReplicaError::Server(_))));
+            assert_eq!(replica.positions(), positions);
+        }
+        server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

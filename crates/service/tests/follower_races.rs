@@ -1,8 +1,9 @@
-//! Races between a leader's snapshot rotation and a [`Follower`] tailing
-//! its log directory. Rotation is three steps on the leader (write the
-//! new snapshot, truncate the log, delete superseded snapshots), and a
-//! follower's poll can land between any two of them; these tests pin the
-//! follower's behavior in each window:
+//! Races between a leader's snapshot rotation and a
+//! [`ReplicaFollower::local`] syncing from its log directory. Rotation is
+//! three steps on the leader (write the new snapshot, truncate the log,
+//! delete superseded snapshots), and a follower's sync can land between
+//! any two of them; these tests pin the follower's behavior in each
+//! window:
 //!
 //! * a log truncated past the follower's position falls back to a
 //!   snapshot reload, never an error;
@@ -10,16 +11,17 @@
 //!   rotation window) is skipped and retried, never treated as removed
 //!   (the regression test for a bug where a transient `NotFound` during
 //!   rotation dropped the document — destroying the follower's replay
-//!   position — instead of deferring to the next poll);
-//! * a poller hammering a leader that rotates on **every** commit
-//!   converges without ever spuriously removing a document.
+//!   position — instead of deferring to the next sync);
+//! * a follower syncing flat out against a leader that rotates on
+//!   **every** commit converges without ever spuriously removing a
+//!   document.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cqt_service::{Corpus, Durability, Follower, FollowerProgress};
+use cqt_service::{Corpus, Durability, ReplicaFollower, ReplicaProgress};
 use cqt_trees::generate::{random_edit_script, random_tree, EditScriptConfig, RandomTreeConfig};
 use cqt_trees::Tree;
 use rand::rngs::StdRng;
@@ -73,10 +75,10 @@ fn random_history(
     (epochs, scripts)
 }
 
-/// A snapshot is written and the log truncated between two polls: the
+/// A snapshot is written and the log truncated between two syncs: the
 /// follower's position falls behind the log's first record, so the
 /// incremental path cannot apply — it must reload from the snapshot and
-/// then resume incrementally on the next poll.
+/// then resume incrementally on the next sync.
 #[test]
 fn truncation_between_polls_falls_back_to_snapshot_reload() {
     let dir = temp_dir("truncate", 21);
@@ -90,25 +92,28 @@ fn truncation_between_polls_falls_back_to_snapshot_reload() {
     )
     .unwrap();
     corpus.insert("doc", epochs[0].clone()).unwrap();
-    let follower = Follower::open(&dir, 2).unwrap();
+    let follower = ReplicaFollower::local(&dir, 2);
+    follower.sync().unwrap();
 
     corpus.commit(&"doc".into(), &scripts[0]).unwrap();
-    let progress = follower.poll().unwrap();
+    let progress = follower.sync().unwrap();
     assert_eq!(progress.records_applied, 1);
 
     // Epoch 3 hits the cadence: snapshot written, log truncated. Epoch 4
     // then appends past the follower's position — the log now starts at
-    // a record the follower (at epoch 1) cannot chain to.
+    // a record the follower (at epoch 1) cannot chain to. The reload ships
+    // the epoch-3 snapshot plus the epoch-4 record after it.
     corpus.commit(&"doc".into(), &scripts[1]).unwrap();
     corpus.commit(&"doc".into(), &scripts[2]).unwrap();
     corpus.commit(&"doc".into(), &scripts[3]).unwrap();
-    let progress = follower.poll().unwrap();
+    let progress = follower.sync().unwrap();
     assert_eq!(
         progress,
-        FollowerProgress {
-            records_applied: 0,
-            documents_loaded: 1,
+        ReplicaProgress {
+            records_applied: 1,
+            snapshots_loaded: 1,
             documents_removed: 0,
+            attempts: 1,
         },
         "a truncation gap must reload from the snapshot, not error"
     );
@@ -120,12 +125,12 @@ fn truncation_between_polls_falls_back_to_snapshot_reload() {
     );
 
     // The reload re-anchored the replay position: the next commit applies
-    // incrementally again (the log still holds the already-covered epoch-4
+    // incrementally again (the log still holds the already-applied epoch-4
     // record, which must be skipped, not re-applied).
     corpus.commit(&"doc".into(), &scripts[4]).unwrap();
-    let progress = follower.poll().unwrap();
+    let progress = follower.sync().unwrap();
     assert_eq!(progress.records_applied, 1);
-    assert_eq!(progress.documents_loaded, 0);
+    assert_eq!(progress.snapshots_loaded, 0);
     let got = follower.corpus().snapshot(&"doc".into()).unwrap();
     assert_eq!(
         got.prepared.tree().structure_digest(),
@@ -154,16 +159,23 @@ fn missing_snapshots_during_rotation_defer_rather_than_remove() {
     // header, snapshot-0 deleted.
     corpus.commit(&"doc".into(), &scripts[0]).unwrap();
     corpus.commit(&"doc".into(), &scripts[1]).unwrap();
-    let follower = Follower::open(&dir, 2).unwrap();
+    let follower = ReplicaFollower::local(&dir, 2);
+    follower.sync().unwrap();
     assert_eq!(follower.corpus().snapshot(&"doc".into()).unwrap().epoch, 2);
 
-    // Hide the only snapshot — exactly what a poll sees if it lands
+    // Hide the only snapshot — exactly what a sync sees if it lands
     // while the leader is renaming the next snapshot into place.
     let snapshot = dir.join("doc").join("snapshot-00000000000000000002.snap");
     let parked = dir.join("parked.snap");
     fs::rename(&snapshot, &parked).unwrap();
-    let progress = follower.poll().unwrap();
-    assert_eq!(progress, FollowerProgress::default());
+    let progress = follower.sync().unwrap();
+    assert_eq!(
+        progress,
+        ReplicaProgress {
+            attempts: 1,
+            ..ReplicaProgress::default()
+        }
+    );
     assert_eq!(follower.corpus().len(), 1, "the document must survive");
     assert_eq!(
         follower.corpus().snapshot(&"doc".into()).unwrap().epoch,
@@ -175,9 +187,9 @@ fn missing_snapshots_during_rotation_defer_rather_than_remove() {
     // position was deferred, not rebuilt.
     fs::rename(&parked, &snapshot).unwrap();
     corpus.commit(&"doc".into(), &scripts[2]).unwrap();
-    let progress = follower.poll().unwrap();
+    let progress = follower.sync().unwrap();
     assert_eq!(progress.records_applied, 1);
-    assert_eq!(progress.documents_loaded, 0);
+    assert_eq!(progress.snapshots_loaded, 0);
     assert_eq!(
         follower
             .corpus()
@@ -208,9 +220,10 @@ fn transient_directory_anomalies_are_not_removals() {
     )
     .unwrap();
     corpus.insert("alpha", epochs[0].clone()).unwrap();
-    let follower = Follower::open(&dir, 2).unwrap();
+    let follower = ReplicaFollower::local(&dir, 2);
+    follower.sync().unwrap();
     corpus.commit(&"alpha".into(), &scripts[0]).unwrap();
-    assert_eq!(follower.poll().unwrap().records_applied, 1);
+    assert_eq!(follower.sync().unwrap().records_applied, 1);
 
     // The anomaly: the path exists but is not a directory, so the
     // listing skips it — the old code concluded "removed" from exactly
@@ -223,7 +236,7 @@ fn transient_directory_anomalies_are_not_removals() {
     let _ = fs::remove_dir_all(&parked);
     fs::rename(&doc_dir, &parked).unwrap();
     fs::write(&doc_dir, b"rotation debris").unwrap();
-    let progress = follower.poll().unwrap();
+    let progress = follower.sync().unwrap();
     assert_eq!(progress.documents_removed, 0, "no removal on a live path");
     assert_eq!(follower.corpus().len(), 1);
     assert!(follower.corpus().get(&"alpha".into()).is_some());
@@ -233,9 +246,9 @@ fn transient_directory_anomalies_are_not_removals() {
     fs::remove_file(&doc_dir).unwrap();
     fs::rename(&parked, &doc_dir).unwrap();
     corpus.commit(&"alpha".into(), &scripts[1]).unwrap();
-    let progress = follower.poll().unwrap();
+    let progress = follower.sync().unwrap();
     assert_eq!(progress.records_applied, 1);
-    assert_eq!(progress.documents_loaded, 0);
+    assert_eq!(progress.snapshots_loaded, 0);
     assert_eq!(
         follower
             .corpus()
@@ -249,18 +262,17 @@ fn transient_directory_anomalies_are_not_removals() {
 
     // A genuine removal — directory confirmed gone — still converges.
     corpus.remove(&"alpha".into()).unwrap();
-    let progress = follower.poll().unwrap();
+    let progress = follower.sync().unwrap();
     assert_eq!(progress.documents_removed, 1);
     assert_eq!(follower.corpus().len(), 0);
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// The hammer: a leader that snapshots and truncates on **every** commit
-/// while a poller runs flat out. Individual polls may observe a
-/// snapshot/log pair from two different rotation instants and return a
-/// typed error for that poll; what must hold is that the poller (a)
-/// never spuriously removes the document and (b) converges to the
-/// leader's final digest once the writer stops.
+/// while a follower syncs flat out. An individual sync may still race the
+/// rotation and return a typed error for that sync; what must hold is
+/// that the follower (a) never spuriously removes the document and (b)
+/// converges to the leader's final digest once the writer stops.
 #[test]
 fn poller_survives_continuous_rotation() {
     let commits = 30;
@@ -276,7 +288,8 @@ fn poller_survives_continuous_rotation() {
     .unwrap();
     let corpus = Arc::new(corpus);
     corpus.insert("doc", epochs[0].clone()).unwrap();
-    let follower = Follower::open(&dir, 2).unwrap();
+    let follower = ReplicaFollower::local(&dir, 2);
+    follower.sync().unwrap();
 
     let writer = {
         let corpus = Arc::clone(&corpus);
@@ -289,7 +302,7 @@ fn poller_survives_continuous_rotation() {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut removed = 0u64;
     loop {
-        if let Ok(progress) = follower.poll() {
+        if let Ok(progress) = follower.sync() {
             removed += progress.documents_removed;
             if let Some(snapshot) = follower.corpus().snapshot(&"doc".into()) {
                 if snapshot.epoch == commits as u64 {
@@ -299,14 +312,20 @@ fn poller_survives_continuous_rotation() {
         }
         assert!(
             Instant::now() < deadline,
-            "poller failed to converge within the deadline"
+            "follower failed to converge within the deadline"
         );
         std::thread::yield_now();
     }
     writer.join().unwrap();
-    // Quiescent now: one more poll must be a clean no-op.
-    let progress = follower.poll().unwrap();
-    assert_eq!(progress, FollowerProgress::default());
+    // Quiescent now: one more sync must be a clean no-op.
+    let progress = follower.sync().unwrap();
+    assert_eq!(
+        progress,
+        ReplicaProgress {
+            attempts: 1,
+            ..ReplicaProgress::default()
+        }
+    );
     assert_eq!(removed, 0, "rotation churn must never look like removal");
     let got = follower.corpus().snapshot(&"doc".into()).unwrap();
     assert_eq!(got.epoch, commits as u64);

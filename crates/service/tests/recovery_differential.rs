@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use cqt_service::{recover_document, Corpus, Durability, Follower, RecoveryError};
+use cqt_service::{recover_document, Corpus, Durability, RecoveryError, ReplicaFollower};
 use cqt_trees::generate::{random_edit_script, random_tree, EditScriptConfig, RandomTreeConfig};
 use cqt_trees::Tree;
 use proptest::prelude::*;
@@ -234,7 +234,7 @@ proptest! {
     }
 
     /// Snapshots bound the log without changing what recovery reconstructs,
-    /// and a follower tailing the directory converges to the leader's
+    /// and a follower syncing from the directory converges to the leader's
     /// digest at every commit.
     #[test]
     fn snapshots_and_followers_preserve_the_replay(
@@ -250,10 +250,11 @@ proptest! {
         )
         .unwrap();
         corpus.insert("doc-000", epochs[0].clone()).unwrap();
-        let follower = Follower::open(&dir, 2).unwrap();
+        let follower = ReplicaFollower::local(&dir, 2);
+        follower.sync().unwrap();
         for (i, script) in scripts.iter().enumerate() {
             corpus.commit(&"doc-000".into(), script).unwrap();
-            follower.poll().unwrap();
+            follower.sync().unwrap();
             let got = follower
                 .corpus()
                 .snapshot(&"doc-000".into())
@@ -311,7 +312,8 @@ fn follower_tracks_inserts_and_removals() {
     )
     .unwrap();
     corpus.insert("alpha", epochs[0].clone()).unwrap();
-    let follower = Follower::open(&dir, 2).unwrap();
+    let follower = ReplicaFollower::local(&dir, 2);
+    follower.sync().unwrap();
     assert_eq!(follower.corpus().len(), 1);
 
     // A second document appears mid-flight, with tags, and gets commits.
@@ -321,8 +323,8 @@ fn follower_tracks_inserts_and_removals() {
     for script in &scripts {
         corpus.commit(&"beta/1".into(), script).unwrap();
     }
-    let progress = follower.poll().unwrap();
-    assert_eq!(progress.documents_loaded, 1);
+    let progress = follower.sync().unwrap();
+    assert_eq!(progress.snapshots_loaded, 1);
     assert_eq!(follower.corpus().len(), 2);
     let beta = follower.corpus().get(&"beta/1".into()).unwrap();
     assert!(beta.has_tag("hot"), "tags survive the durable round trip");
@@ -334,7 +336,7 @@ fn follower_tracks_inserts_and_removals() {
     // Removal deletes the on-disk directory; the follower converges.
     corpus.remove(&"alpha".into()).unwrap();
     assert!(!dir.join("alpha").exists());
-    let progress = follower.poll().unwrap();
+    let progress = follower.sync().unwrap();
     assert_eq!(progress.documents_removed, 1);
     assert_eq!(follower.corpus().len(), 1);
     assert!(follower.corpus().get(&"alpha".into()).is_none());

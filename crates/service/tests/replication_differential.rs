@@ -14,7 +14,16 @@
 //! answer-level check runs a batched, pruned query workload over both the
 //! leader and the replica through real sockets and requires identical
 //! fingerprints.
+//!
+//! The transport-parity property runs random schedules of inserts,
+//! commits, removals and leader restarts, and after every step requires a
+//! replica fed from the leader's directory and a replica fed over TCP to
+//! agree with each other, with the leader and with an independent model.
+//! `transport_parity_deep_sweep` repeats it over 200 schedules; run it in
+//! release mode with `cargo test --release -p cqt-service --test
+//! replication_differential -- --include-ignored`.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -25,7 +34,7 @@ use std::time::Duration;
 
 use cqt_service::net::frame::{write_frame, FRAME_HEADER_LEN};
 use cqt_service::net::{
-    NetServer, NetServerConfig, Request, Response, WireFanOut, WireLang, WireQuery,
+    NetServer, NetServerConfig, Request, Response, WireFanOut, WireLang, WirePosition, WireQuery,
 };
 use cqt_service::{durable_positions, Corpus, Durability, PromoteError, ReplicaFollower};
 use cqt_trees::generate::{random_edit_script, random_tree, EditScriptConfig, RandomTreeConfig};
@@ -467,4 +476,195 @@ fn promote_is_digest_gated_and_serves_oracle_checked_reads() {
         expected.structure_digest()
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// One leader lifetime of the transport-parity schedule: its corpus and
+/// the server in front of it.
+struct Leader {
+    corpus: Arc<Corpus>,
+    server: cqt_service::ServerHandle,
+}
+
+fn open_leader(dir: &std::path::Path, snapshot_every: u64) -> Leader {
+    let (corpus, _) = Corpus::open_durable(
+        2,
+        Durability::Wal {
+            dir: dir.to_path_buf(),
+            snapshot_every,
+        },
+    )
+    .unwrap();
+    let corpus = Arc::new(corpus);
+    let server = NetServer::start(Arc::clone(&corpus), NetServerConfig::default()).unwrap();
+    Leader { corpus, server }
+}
+
+impl Leader {
+    /// Stops the server and drops the corpus, closing its logs.
+    fn stop(self) {
+        self.server.shutdown();
+    }
+}
+
+/// Runs one schedule. Each step is `(kind, pick)`: kind 0 inserts a
+/// document, 1 inserts one with a routing tag, 2 and 3 commit a random
+/// script to the picked document, 4 removes it, and 5 restarts the leader
+/// from its directory. After every step both replicas sync and must
+/// equal the model, `durable_positions` and the leader's own digests.
+fn transport_parity(seed: u64, snapshot_every: u64, steps: &[(u8, usize)]) {
+    let dir = temp_dir("parity", seed ^ snapshot_every);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut leader = open_leader(&dir, snapshot_every);
+    let local = ReplicaFollower::local(&dir, 2);
+    let mut tcp = ReplicaFollower::new(leader.server.addr(), 2);
+    // The model: per document, its (epoch, digest) and current tree.
+    let mut model: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    let mut trees: BTreeMap<String, Tree> = BTreeMap::new();
+    let mut inserted = 0usize;
+    let script_config = EditScriptConfig {
+        edits: 2,
+        alphabet: base_alphabet(),
+        ..EditScriptConfig::default()
+    };
+    for (index, &(kind, pick)) in steps.iter().enumerate() {
+        let picked =
+            (!model.is_empty()).then(|| model.keys().nth(pick % model.len()).unwrap().clone());
+        match (kind, picked) {
+            (0 | 1, _) => {
+                let id = format!("doc-{inserted}");
+                inserted += 1;
+                let tree = random_tree(
+                    &mut rng,
+                    &RandomTreeConfig {
+                        nodes: 4 + pick % 12,
+                        alphabet: base_alphabet(),
+                        ..RandomTreeConfig::default()
+                    },
+                );
+                if kind == 0 {
+                    leader.corpus.insert(id.as_str(), tree.clone()).unwrap();
+                } else {
+                    leader
+                        .corpus
+                        .insert_tagged(id.as_str(), &["hot"], tree.clone())
+                        .unwrap();
+                }
+                model.insert(id.clone(), (0, tree.structure_digest()));
+                trees.insert(id, tree);
+            }
+            (2 | 3, Some(id)) => {
+                let script = random_edit_script(&mut rng, &trees[&id], &script_config);
+                let (next, _) = script.apply_to(&trees[&id]).unwrap();
+                let report = leader.corpus.commit(&id.as_str().into(), &script).unwrap();
+                let (epoch, _) = model[&id];
+                assert_eq!(report.epoch, epoch + 1, "step {index}: commit epoch");
+                model.insert(id.clone(), (epoch + 1, next.structure_digest()));
+                trees.insert(id, next);
+            }
+            (4, Some(id)) => {
+                assert!(leader.corpus.remove(&id.as_str().into()).is_some());
+                model.remove(&id);
+                trees.remove(&id);
+            }
+            (5, _) => {
+                leader.stop();
+                leader = open_leader(&dir, snapshot_every);
+                tcp.retarget(leader.server.addr());
+            }
+            _ => {}
+        }
+        local.sync().unwrap();
+        tcp.sync().unwrap();
+
+        let expected: Vec<WirePosition> = model
+            .iter()
+            .map(|(doc_id, &(epoch, digest))| WirePosition {
+                doc_id: doc_id.clone(),
+                epoch,
+                digest,
+            })
+            .collect();
+        assert_eq!(
+            durable_positions(&dir).unwrap(),
+            expected,
+            "step {index}: durable"
+        );
+        assert_eq!(
+            leader.corpus.len(),
+            model.len(),
+            "step {index}: leader documents"
+        );
+        for (name, replica) in [("local", &local), ("tcp", &tcp)] {
+            assert_eq!(
+                replica.positions(),
+                expected,
+                "step {index}: {name} positions"
+            );
+            assert_eq!(
+                replica.corpus().len(),
+                model.len(),
+                "step {index}: {name} documents"
+            );
+        }
+        for (doc_id, &(epoch, digest)) in &model {
+            let id = doc_id.as_str().into();
+            let on_leader = leader.corpus.snapshot(&id).unwrap();
+            assert_eq!(
+                (on_leader.epoch, on_leader.prepared.structure_hash()),
+                (epoch, digest),
+                "step {index}: leader {doc_id}"
+            );
+            for (name, replica) in [("local", &local), ("tcp", &tcp)] {
+                let on_replica = replica.corpus().snapshot(&id).unwrap();
+                assert_eq!(
+                    (on_replica.epoch, on_replica.prepared.structure_hash()),
+                    (epoch, digest),
+                    "step {index}: {name} {doc_id}"
+                );
+            }
+        }
+    }
+    leader.stop();
+    let durable = durable_positions(&dir).unwrap();
+    for replica in [local, tcp] {
+        let promoted = replica.promote(&durable).unwrap();
+        assert_eq!(promoted.len(), model.len());
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Random schedules of up to 16 steps over kinds 0..=5 (see
+/// [`transport_parity`]).
+fn schedule() -> impl Strategy<Value = Vec<(u8, usize)>> {
+    proptest::collection::vec((0u8..6, 0usize..1 << 16), 1..16)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Both follower sources converge on the same state after every step
+    /// of a random schedule, and both promote at the end.
+    #[test]
+    fn local_and_tcp_replicas_agree_after_every_step(
+        seed in 0u64..1 << 32,
+        snapshot_every in 0u64..4,
+        steps in schedule(),
+    ) {
+        transport_parity(seed, snapshot_every, &steps);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, seed: 0x7a11_0c0f_fee5_d00d })]
+
+    /// `local_and_tcp_replicas_agree_after_every_step` over 200 schedules.
+    #[test]
+    #[ignore = "deep sweep: run in release mode with --include-ignored"]
+    fn transport_parity_deep_sweep(
+        seed in 0u64..1 << 32,
+        snapshot_every in 0u64..4,
+        steps in schedule(),
+    ) {
+        transport_parity(seed, snapshot_every, &steps);
+    }
 }
