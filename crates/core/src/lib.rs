@@ -31,6 +31,9 @@
 //! * [`yannakakis`] — semi-join based evaluation of acyclic queries
 //!   (Yannakakis' algorithm, referenced in Section 1 as the reason APQs are
 //!   desirable) and of acyclic positive queries.
+//! * [`minimize`] — the plan-time pass that drops axis atoms implied by a
+//!   two-atom path through the axis composition table, so redundant cycles
+//!   compile to acyclic plans.
 //! * [`engine`] — a façade that analyses the query and dispatches to the
 //!   appropriate evaluator.
 //! * [`compiled`] — the prepare/execute split for serving workloads: a
@@ -52,6 +55,7 @@ pub mod compiled;
 pub mod engine;
 pub mod enumerate;
 pub mod mac;
+pub mod minimize;
 pub mod naive;
 pub mod poly_eval;
 pub mod prevaluation;
@@ -68,6 +72,7 @@ pub use batch::{BatchPlan, BatchScratch};
 pub use compiled::{CompiledQuery, ExecScratch};
 pub use engine::{Answer, Engine, EvalStrategy, SelectedStrategy};
 pub use mac::MacSolver;
+pub use minimize::drop_implied_atoms;
 pub use naive::NaiveEvaluator;
 pub use poly_eval::XPropertyEvaluator;
 pub use prevaluation::{Prevaluation, Valuation};

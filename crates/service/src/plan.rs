@@ -15,7 +15,9 @@ use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use cqt_core::{Answer, CompiledQuery, EvalStrategy, ExecScratch};
+use cqt_core::{
+    drop_implied_atoms, Answer, CompiledQuery, EvalStrategy, ExecScratch, SelectedStrategy,
+};
 use cqt_query::ConjunctiveQuery;
 use cqt_rewrite::rewrite::{rewrite_to_apq_with, RewriteOptions};
 use cqt_trees::{Axis, DocSummary, NodeId, NodeSet, PreparedTree};
@@ -31,7 +33,8 @@ pub struct PlanOptions {
     pub strategy: EvalStrategy,
     /// Rewrite NP-hard cyclic queries into acyclic positive queries
     /// (Theorem 6.10) at plan time, so execution runs backtrack-free
-    /// Yannakakis passes instead of MAC search. Off by default: the rewrite
+    /// Yannakakis passes instead of MAC search. Applies only to plans that
+    /// still select MAC after plan-time minimization. Off by default: the rewrite
     /// can be exponential (Theorem 7.1); plans fall back to MAC when the
     /// disjunct cap is hit.
     pub rewrite_nphard: bool,
@@ -225,23 +228,34 @@ impl Plan {
         )
     }
     /// Compiles `spec` under `options`. This is the entire one-time phase:
-    /// signature analysis, strategy selection and any rewrite happen here and
-    /// never at execution time.
+    /// minimization, signature analysis, strategy selection and any rewrite
+    /// happen here and never at execution time.
+    ///
+    /// Under [`EvalStrategy::Auto`] a conjunctive query first loses the
+    /// axis atoms a two-atom path implies ([`drop_implied_atoms`]), so
+    /// analysis and strategy selection see the smaller, equivalent query: a
+    /// redundant cycle compiles to an acyclic Yannakakis plan. A forced
+    /// strategy compiles the query as written. The NP-hard rewrite runs
+    /// only when the minimized plan still needs MAC search.
     pub fn compile(spec: &QuerySpec, options: &PlanOptions) -> (Plan, u64) {
         match spec {
-            QuerySpec::Cq(query) => {
-                let head_arity = query.head_arity();
-                let plan = CompiledQuery::compile_with(query.clone(), options.strategy);
+            QuerySpec::Cq(written) => {
+                let head_arity = written.head_arity();
+                let query = match options.strategy {
+                    EvalStrategy::Auto => drop_implied_atoms(written),
+                    _ => written.clone(),
+                };
+                let plan = CompiledQuery::compile_with(query, options.strategy);
                 let mut analyses = 1;
                 if options.rewrite_nphard
+                    && plan.strategy() == SelectedStrategy::Mac
                     && !plan.classification().is_polynomial()
-                    && !query.is_acyclic()
                 {
                     let rewrite_options = RewriteOptions {
                         max_disjuncts: options.rewrite_max_disjuncts,
                         ..RewriteOptions::default()
                     };
-                    if let Ok((apq, _)) = rewrite_to_apq_with(query, &rewrite_options) {
+                    if let Ok((apq, _)) = rewrite_to_apq_with(plan.query(), &rewrite_options) {
                         if apq.is_acyclic() {
                             let disjuncts: Vec<CompiledQuery> = apq
                                 .disjuncts()
@@ -541,8 +555,9 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqt_core::{Engine, SelectedStrategy};
+    use cqt_core::Engine;
     use cqt_query::cq::figure1_query;
+    use cqt_query::parse_query;
     use cqt_trees::parse::parse_term;
 
     #[test]
@@ -641,6 +656,151 @@ mod tests {
         assert!(analyses as usize > plan.disjuncts().len());
         let mut scratch = ExecScratch::new();
         assert_eq!(plan.execute(&prepared, &mut scratch), expected);
+    }
+
+    /// The cyclic queries of the engine-scan benchmark mix, each with the
+    /// index of its axis atom that a two-atom path implies.
+    const REDUNDANT_CYCLES: [(&str, usize); 4] = [
+        (
+            "Q(z) :- A(x), Child+(x, y), Child+(y, z), Child+(x, z), B(y), C(z).",
+            2,
+        ),
+        (
+            "Q(z) :- A(x), Following(x, y), Following(y, z), Following(x, z), B(y), C(z).",
+            2,
+        ),
+        // Child(x, z) ∧ PrevSibling(z, y) ⇒ Child(x, y): the walk meets the
+        // first Child atom first.
+        (
+            "Q(z) :- A(x), Child(x, y), Child(x, z), NextSibling(y, z), B(y), C(z).",
+            0,
+        ),
+        (
+            "Q() :- A(x), Child(x, y), Child+(y, z), Child+(x, z), B(y), C(z).",
+            2,
+        ),
+    ];
+
+    #[test]
+    fn redundant_cycles_compile_to_one_acyclic_yannakakis_disjunct() {
+        for (text, implied) in REDUNDANT_CYCLES {
+            let written = parse_query(text).unwrap();
+            let (plan, analyses) = Plan::compile(
+                &QuerySpec::from_cq(written.clone()),
+                &PlanOptions::default(),
+            );
+            assert_eq!(analyses, 1);
+            assert_eq!(plan.disjuncts().len(), 1, "{text}");
+            let compiled = &plan.disjuncts()[0];
+            assert_eq!(compiled.strategy(), SelectedStrategy::Yannakakis, "{text}");
+            let mut expected = written.axis_atoms().to_vec();
+            expected.remove(implied);
+            assert_eq!(compiled.query().axis_atoms(), expected, "{text}");
+            assert_eq!(compiled.query().label_atoms(), written.label_atoms());
+            assert_eq!(compiled.query().head(), written.head());
+        }
+    }
+
+    #[test]
+    fn queries_without_an_implied_atom_compile_as_written() {
+        let (plan, _) = Plan::compile(
+            &QuerySpec::from_cq(figure1_query()),
+            &PlanOptions::default(),
+        );
+        assert_eq!(plan.disjuncts()[0].strategy(), SelectedStrategy::Mac);
+        assert_eq!(plan.disjuncts()[0].query(), &figure1_query());
+    }
+
+    #[test]
+    fn forced_strategies_keep_every_written_atom() {
+        let options = PlanOptions {
+            strategy: EvalStrategy::XProperty,
+            ..PlanOptions::default()
+        };
+        for (text, _) in REDUNDANT_CYCLES {
+            let spec = QuerySpec::parse_cq(text).unwrap();
+            let (plan, _) = Plan::compile(&spec, &options);
+            let compiled = &plan.disjuncts()[0];
+            assert_eq!(compiled.strategy(), SelectedStrategy::XProperty);
+            assert_eq!(QuerySpec::from_cq(compiled.query().clone()), spec);
+        }
+    }
+
+    #[test]
+    fn the_nphard_rewrite_is_gated_on_the_minimized_plan() {
+        let options = PlanOptions {
+            rewrite_nphard: true,
+            ..PlanOptions::default()
+        };
+        // Written, the query is cyclic over {Child, Child+} (NP-hard);
+        // minimized, it is acyclic and needs no rewrite.
+        let (text, _) = REDUNDANT_CYCLES[3];
+        let (plan, analyses) = Plan::compile(&QuerySpec::parse_cq(text).unwrap(), &options);
+        assert_eq!(analyses, 1);
+        assert_eq!(plan.disjuncts().len(), 1);
+        assert_eq!(plan.disjuncts()[0].strategy(), SelectedStrategy::Yannakakis);
+    }
+
+    #[test]
+    fn minimized_plans_answer_like_the_written_query_and_prune_alike() {
+        let trees = [
+            "R(A(B(C), C, B(D(C))), A(B, C), B(C))",
+            "R(A(C, B, C), C, A(B(A(B, C))))",
+            "A(B, C(B), B, C)",
+            "A",
+            "A(B(C))",
+        ];
+        let mut scratch = ExecScratch::new();
+        for (text, _) in REDUNDANT_CYCLES {
+            let written = parse_query(text).unwrap();
+            let spec = QuerySpec::from_cq(written.clone());
+            let (plan, _) = Plan::compile(&spec, &PlanOptions::default());
+            let forced = PlanOptions {
+                strategy: EvalStrategy::Mac,
+                ..PlanOptions::default()
+            };
+            let (as_written, _) = Plan::compile(&spec, &forced);
+            for tree in trees {
+                let prepared = PreparedTree::new(parse_term(tree).unwrap());
+                let answer = plan.execute(&prepared, &mut scratch);
+                assert_eq!(answer, as_written.execute(&prepared, &mut scratch));
+                assert_eq!(answer, Engine::new().eval(prepared.tree(), &written));
+                assert_eq!(
+                    plan.prunes(prepared.doc_summary()),
+                    as_written.prunes(prepared.doc_summary()),
+                    "{text} on {tree}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dropped_atoms_never_weaken_the_pruning_requirements() {
+        // A dropped atom T(x, z) leaves R(x, w) and S(w, z) with R ∘ S ⊆ T.
+        // A document summary that satisfies R and S satisfies T, so the
+        // written query's axis requirements prune no document that the
+        // minimized one keeps.
+        let summaries: Vec<PreparedTree> = ["A", "A(B)", "A(B(C))", "A(B, C)"]
+            .iter()
+            .map(|tree| PreparedTree::new(parse_term(tree).unwrap()))
+            .collect();
+        for r in Axis::ALL {
+            for s in Axis::ALL {
+                for t in Axis::ALL {
+                    if !r.composes_into(s, t) {
+                        continue;
+                    }
+                    for prepared in &summaries {
+                        let summary = prepared.doc_summary();
+                        assert!(
+                            !(summary.can_satisfy(r) && summary.can_satisfy(s))
+                                || summary.can_satisfy(t),
+                            "{r} ∘ {s} ⊆ {t}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -221,6 +221,104 @@ impl Axis {
     }
 
     // ------------------------------------------------------------------
+    // Containment and composition (the algebra behind query minimization).
+    // ------------------------------------------------------------------
+
+    /// Whether `self ⊆ other` on every tree: the chains
+    /// `Child ⊆ Child+ ⊆ Child*` and `NextSibling ⊆ NextSibling+ ⊆
+    /// NextSibling*`, `NextSibling+ ⊆ Following`, `Self` below every
+    /// reflexive closure, and the same for the inverse axes.
+    pub fn is_contained_in(self, other: Axis) -> bool {
+        use Axis::*;
+        self == other
+            || matches!(
+                (self, other),
+                (Child, ChildPlus | ChildStar)
+                    | (ChildPlus, ChildStar)
+                    | (NextSibling, NextSiblingPlus | NextSiblingStar | Following)
+                    | (NextSiblingPlus, NextSiblingStar | Following)
+                    | (Parent, AncestorPlus | AncestorStar)
+                    | (AncestorPlus, AncestorStar)
+                    | (PrevSibling, PrevSiblingPlus | PrevSiblingStar | Preceding)
+                    | (PrevSiblingPlus, PrevSiblingStar | Preceding)
+                    | (
+                        SelfAxis,
+                        ChildStar | NextSiblingStar | AncestorStar | PrevSiblingStar
+                    )
+            )
+    }
+
+    /// The composition table: the smallest axis `T` with
+    /// `R(x, w) ∧ S(w, z) ⇒ T(x, z)` on every tree, where `R = self` and
+    /// `S = next`, or `None` when no axis contains `R ∘ S` (e.g.
+    /// `Child* ∘ NextSibling` reaches both descendants and following
+    /// nodes). Every axis `T` with the implication is a superset of this
+    /// one — see [`Axis::composes_into`].
+    ///
+    /// These are the axis compositions behind the join lifters of
+    /// Definition 6.2 (`Child ∘ NextSibling ⊆ Child`, `Child+ ∘ Child+ ⊆
+    /// Child+`, `Following ∘ Following ⊆ Following`, …). The tests check
+    /// every entry on every ordered tree with at most seven nodes, and that
+    /// no implication holding on all of them is missing.
+    pub fn composition(self, next: Axis) -> Option<Axis> {
+        use Axis::*;
+        match (self, next) {
+            (SelfAxis, s) => Some(s),
+            (r, SelfAxis) => Some(r),
+            // Both inverse: (R ∘ S)⁻¹ = S⁻¹ ∘ R⁻¹, a forward composition.
+            (r, s) if !r.is_paper_axis() && !s.is_paper_axis() => {
+                s.inverse().composition(r.inverse()).map(Axis::inverse)
+            }
+            // Forward ∘ forward.
+            (Child, Child | ChildPlus | ChildStar) => Some(ChildPlus),
+            (Child, NextSibling | NextSiblingPlus | NextSiblingStar) => Some(Child),
+            (ChildPlus, Child | ChildPlus | ChildStar) => Some(ChildPlus),
+            (ChildPlus, NextSibling | NextSiblingPlus | NextSiblingStar) => Some(ChildPlus),
+            (ChildStar, Child | ChildPlus) => Some(ChildPlus),
+            (ChildStar, ChildStar) => Some(ChildStar),
+            (NextSibling | NextSiblingPlus, Child | ChildPlus | ChildStar) => Some(Following),
+            (NextSibling | NextSiblingPlus, NextSibling | NextSiblingPlus | NextSiblingStar) => {
+                Some(NextSiblingPlus)
+            }
+            (NextSiblingStar, NextSibling | NextSiblingPlus) => Some(NextSiblingPlus),
+            (NextSiblingStar, NextSiblingStar) => Some(NextSiblingStar),
+            (NextSibling | NextSiblingPlus | NextSiblingStar, Following) => Some(Following),
+            (Following, s) if s.is_paper_axis() => Some(Following),
+            // Forward ∘ inverse.
+            (Child, Parent) => Some(SelfAxis),
+            (Child, AncestorPlus) => Some(AncestorStar),
+            (Child, PrevSibling | PrevSiblingPlus | PrevSiblingStar) => Some(Child),
+            (ChildPlus, Parent) => Some(ChildStar),
+            (ChildPlus, PrevSibling | PrevSiblingPlus | PrevSiblingStar) => Some(ChildPlus),
+            (NextSibling | NextSiblingPlus | NextSiblingStar, Parent) => Some(Parent),
+            (NextSibling | NextSiblingPlus | NextSiblingStar, AncestorPlus) => Some(AncestorPlus),
+            (NextSibling, PrevSibling) => Some(SelfAxis),
+            (NextSibling, PrevSiblingPlus) => Some(PrevSiblingStar),
+            (NextSiblingPlus, PrevSibling) => Some(NextSiblingStar),
+            // Inverse ∘ forward.
+            (Parent | AncestorPlus | AncestorStar, NextSibling | NextSiblingPlus | Following) => {
+                Some(Following)
+            }
+            (PrevSibling | PrevSiblingPlus | Preceding, Child | ChildPlus | ChildStar) => {
+                Some(Preceding)
+            }
+            (PrevSibling, NextSibling) => Some(SelfAxis),
+            (PrevSibling, NextSiblingPlus) => Some(NextSiblingStar),
+            (PrevSiblingPlus, NextSibling) => Some(PrevSiblingStar),
+            _ => None,
+        }
+    }
+
+    /// Whether `R(x, w) ∧ S(w, z) ⇒ T(x, z)` holds on every tree, where
+    /// `R = self`, `S = next` and `T = target`: the entries of the
+    /// composition table ([`Axis::composition`]) closed upward under
+    /// containment ([`Axis::is_contained_in`]).
+    pub fn composes_into(self, next: Axis, target: Axis) -> bool {
+        self.composition(next)
+            .is_some_and(|strongest| strongest.is_contained_in(target))
+    }
+
+    // ------------------------------------------------------------------
     // Membership tests (O(1) thanks to the structural index).
     // ------------------------------------------------------------------
 
@@ -588,6 +686,126 @@ mod tests {
         assert_eq!(Axis::NextSibling.xpath_name(), None);
         assert_eq!(Axis::NextSiblingStar.xpath_name(), None);
         assert_eq!(Axis::Following.xpath_name(), Some("following"));
+    }
+
+    /// Every ordered tree with at most `max_nodes` nodes (Catalan many per
+    /// size), built from its pre-order depth sequence: the root has depth
+    /// 0 and each later node is at most one level deeper than the node
+    /// before it.
+    fn all_ordered_trees(max_nodes: usize) -> Vec<Tree> {
+        fn extend(depths: &mut Vec<u32>, max_nodes: usize, out: &mut Vec<Tree>) {
+            let mut builder = TreeBuilder::new();
+            let mut path: Vec<NodeId> = Vec::new();
+            for &depth in depths.iter() {
+                path.truncate(depth as usize);
+                let node = match path.last() {
+                    None => builder.add_root(&["A"]),
+                    Some(&parent) => builder.add_child(parent, &["A"]),
+                };
+                path.push(node);
+            }
+            out.push(builder.build().unwrap());
+            if depths.len() < max_nodes {
+                for depth in 1..=depths[depths.len() - 1] + 1 {
+                    depths.push(depth);
+                    extend(depths, max_nodes, out);
+                    depths.pop();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        extend(&mut vec![0], max_nodes, &mut out);
+        out
+    }
+
+    /// For every `(R, S)`, the bitmask (by [`Axis::index`]) of the axes `T`
+    /// with `R(x, w) ∧ S(w, z) ⇒ T(x, z)` on every node triple of `trees`.
+    fn observed_compositions(trees: &[Tree]) -> [[u16; Axis::COUNT]; Axis::COUNT] {
+        let every_axis = (1u16 << Axis::COUNT) - 1;
+        let mut observed = [[every_axis; Axis::COUNT]; Axis::COUNT];
+        for tree in trees {
+            let nodes: Vec<NodeId> = tree.nodes().collect();
+            let n = nodes.len();
+            let mut holding = vec![0u16; n * n];
+            for (i, &u) in nodes.iter().enumerate() {
+                for (j, &v) in nodes.iter().enumerate() {
+                    for axis in Axis::ALL {
+                        if axis.holds(tree, u, v) {
+                            holding[i * n + j] |= 1 << axis.index();
+                        }
+                    }
+                }
+            }
+            for x in 0..n {
+                for w in 0..n {
+                    for z in 0..n {
+                        for r in Axis::ALL {
+                            if holding[x * n + w] & (1 << r.index()) == 0 {
+                                continue;
+                            }
+                            for s in Axis::ALL {
+                                if holding[w * n + z] & (1 << s.index()) != 0 {
+                                    observed[r.index()][s.index()] &= holding[x * n + z];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        observed
+    }
+
+    #[test]
+    fn composition_table_is_sound_and_complete_on_all_small_trees() {
+        let trees = all_ordered_trees(7);
+        // 1 + 1 + 2 + 5 + 14 + 42 + 132 trees (Catalan numbers).
+        assert_eq!(trees.len(), 197);
+        let observed = observed_compositions(&trees);
+        for r in Axis::ALL {
+            for s in Axis::ALL {
+                let holds_everywhere = observed[r.index()][s.index()];
+                for t in Axis::ALL {
+                    let in_table = r.composes_into(s, t);
+                    let holds = holds_everywhere & (1 << t.index()) != 0;
+                    assert!(
+                        !in_table || holds,
+                        "unsound entry: {r}(x, w) ∧ {s}(w, z) ⇒ {t}(x, z) fails on a small tree"
+                    );
+                    // Completeness is required over the paper's seven
+                    // forward axes; the check covers all fifteen.
+                    assert!(
+                        in_table || !holds,
+                        "missing entry: {r}(x, w) ∧ {s}(w, z) ⇒ {t}(x, z) holds on every small tree"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn containment_is_sound_and_complete_on_all_small_trees() {
+        // R ⊆ T iff Self(x, w) ∧ R(w, z) ⇒ T(x, z).
+        let after_self = observed_compositions(&all_ordered_trees(7))[Axis::SelfAxis.index()];
+        for r in Axis::ALL {
+            for t in Axis::ALL {
+                let holds = after_self[r.index()] & (1 << t.index()) != 0;
+                assert_eq!(r.is_contained_in(t), holds, "{r} ⊆ {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn composition_examples_from_the_join_lifters() {
+        assert!(Axis::ChildPlus.composes_into(Axis::ChildPlus, Axis::ChildPlus));
+        assert!(Axis::Following.composes_into(Axis::Following, Axis::Following));
+        assert!(Axis::Child.composes_into(Axis::NextSibling, Axis::Child));
+        assert!(Axis::Child.composes_into(Axis::ChildPlus, Axis::ChildPlus));
+        // Read through an inverse: Child(x, w) ∧ PrevSibling(w, z) ⇒ Child(x, z).
+        assert!(Axis::Child.composes_into(Axis::PrevSibling, Axis::Child));
+        assert!(!Axis::Child.composes_into(Axis::Child, Axis::Child));
+        assert_eq!(Axis::ChildStar.composition(Axis::NextSibling), None);
+        assert_eq!(Axis::Child.composition(Axis::Parent), Some(Axis::SelfAxis));
     }
 
     #[test]
