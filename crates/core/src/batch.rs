@@ -41,6 +41,7 @@ use cqt_trees::{Axis, NodeSet, PreparedTree};
 
 use crate::compiled::{CompiledQuery, ExecScratch};
 use crate::engine::Answer;
+use crate::sink::AnswerSink;
 use crate::support::pre_supported_targets;
 
 /// How a shared step derives its node set.
@@ -210,6 +211,21 @@ impl BatchPlan {
         prepared: &PreparedTree,
         scratch: &mut BatchScratch,
     ) -> Answer {
+        let mut sink = AnswerSink::collect(query.head_arity());
+        self.execute_into(index, query, prepared, scratch, &mut sink);
+        sink.into_answer().expect("a collecting sink")
+    }
+
+    /// [`BatchPlan::execute`], delivering the answer to `sink` tuple by
+    /// tuple ([`CompiledQuery::execute_seeded_into`]).
+    pub fn execute_into(
+        &self,
+        index: usize,
+        query: &CompiledQuery,
+        prepared: &PreparedTree,
+        scratch: &mut BatchScratch,
+        sink: &mut AnswerSink,
+    ) {
         debug_assert_eq!(
             scratch.sets.len(),
             self.steps.len(),
@@ -229,13 +245,10 @@ impl BatchPlan {
         if empty_seed {
             // A step set is a superset of the satisfaction projection onto
             // its variable: empty step ⇒ no satisfaction, for *every*
-            // strategy (including MAC and naive, which ignore seeds).
+            // strategy (including MAC and naive, which ignore seeds). The
+            // sink receives nothing: the empty answer.
             scratch.empty_short_circuits += 1;
-            return match query.head_arity() {
-                0 => Answer::Boolean(false),
-                1 => Answer::Nodes(Vec::new()),
-                _ => Answer::Tuples(Vec::new()),
-            };
+            return;
         }
         let BatchScratch {
             exec,
@@ -249,7 +262,7 @@ impl BatchPlan {
             .iter()
             .map(|&(var, step)| (var, &sets[step]))
             .collect();
-        query.execute_seeded(prepared, &seeds, exec)
+        query.execute_seeded_into(prepared, &seeds, exec, sink)
     }
 
     /// Evaluates step `id` (and, transitively, its parents) into

@@ -25,11 +25,12 @@ use cqt_trees::{NodeId, NodeSet, Order, PreparedTree, Tree};
 
 use crate::arc::{propagate_loaded, AcScratch};
 use crate::engine::{Answer, EvalStrategy, SelectedStrategy};
-use crate::enumerate::{Enumerator, Fixpoint, Level};
+use crate::enumerate::{Enumerator, Fixpoint, Level, Walk};
 use crate::mac::MacSolver;
 use crate::naive::NaiveEvaluator;
 use crate::poly_eval::XPropertyEvaluator;
 use crate::prevaluation::Valuation;
+use crate::sink::AnswerSink;
 use crate::tractability::{SignatureAnalysis, Tractability};
 use crate::yannakakis::{reduce_loaded, YannakakisEvaluator};
 
@@ -65,9 +66,10 @@ impl ExecScratch {
     }
 
     /// The decide steps the answer enumerator has run with this scratch, one
-    /// per candidate it fixed: on an acyclic query, one per distinct answer
-    /// prefix of length 1..k−1. Tuple checks take their decide steps here
-    /// too, so a k-ary enumeration that checked candidate tuples would show.
+    /// per candidate it fixed: none on an acyclic query whose head the walk
+    /// covers, one per distinct answer prefix of length 1..k−1 on any other
+    /// acyclic query. Tuple checks take their decide steps here too, so a
+    /// k-ary enumeration that checked candidate tuples would show.
     pub fn enumeration_steps(&self) -> u64 {
         self.steps
     }
@@ -179,6 +181,9 @@ pub struct CompiledQuery {
     /// Yannakakis (`None` if the query is cyclic — execution then panics,
     /// matching the forced-strategy contract of [`crate::engine::Engine`]).
     forest: Option<JoinForest>,
+    /// The walk of the head over the join forest, when the head order
+    /// admits one ([`crate::enumerate`]).
+    walk: Option<Walk>,
     /// The witnessing order of a tractable signature.
     order: Option<Order>,
 }
@@ -200,12 +205,16 @@ impl CompiledQuery {
         } else {
             None
         };
+        let walk = forest
+            .as_ref()
+            .and_then(|forest| Walk::plan(&query, forest));
         let order = classification.order();
         CompiledQuery {
             query,
             classification,
             strategy: selected,
             forest,
+            walk,
             order,
         }
     }
@@ -243,6 +252,18 @@ impl CompiledQuery {
         self.answer_ctx(Ctx::Prepared(prepared), scratch, &[])
     }
 
+    /// Evaluates the query against a prepared tree, delivering the answer to
+    /// `sink` tuple by tuple in the order of [`CompiledQuery::execute`]'s
+    /// answer: a fingerprint sink folds a k-ary answer without building it.
+    pub fn execute_into(
+        &self,
+        prepared: &PreparedTree,
+        scratch: &mut ExecScratch,
+        sink: &mut AnswerSink,
+    ) {
+        self.sink_ctx(Ctx::Prepared(prepared), scratch, &[], sink)
+    }
+
     /// Evaluates the query against a prepared tree with externally computed
     /// start-set *seeds* — the entry point of [`crate::batch`]'s shared-step
     /// table.
@@ -263,6 +284,18 @@ impl CompiledQuery {
         scratch: &mut ExecScratch,
     ) -> Answer {
         self.answer_ctx(Ctx::Prepared(prepared), scratch, seeds)
+    }
+
+    /// [`CompiledQuery::execute_seeded`], delivering the answer to `sink`
+    /// as [`CompiledQuery::execute_into`] does.
+    pub fn execute_seeded_into(
+        &self,
+        prepared: &PreparedTree,
+        seeds: &[(usize, &NodeSet)],
+        scratch: &mut ExecScratch,
+        sink: &mut AnswerSink,
+    ) {
+        self.sink_ctx(Ctx::Prepared(prepared), scratch, seeds, sink)
     }
 
     /// Evaluates the Boolean reading against a prepared tree.
@@ -423,7 +456,9 @@ impl CompiledQuery {
     /// The answer enumerator of the two tractable engines.
     fn enumerator<'a>(&'a self, ctx: Ctx<'a>) -> Enumerator<'a> {
         let fixpoint = match (self.strategy, &self.forest, self.order) {
-            (SelectedStrategy::Yannakakis, Some(forest), _) => Fixpoint::Reduce(forest),
+            (SelectedStrategy::Yannakakis, Some(forest), _) => {
+                Fixpoint::Reduce(forest, self.walk.as_ref())
+            }
             (SelectedStrategy::Yannakakis, None, _) => {
                 panic!("Yannakakis strategy requires an acyclic query")
             }
@@ -436,24 +471,6 @@ impl CompiledQuery {
             }
         };
         Enumerator::new(ctx, &self.query, fixpoint)
-    }
-
-    fn tuples_ctx(
-        &self,
-        ctx: Ctx<'_>,
-        scratch: &mut ExecScratch,
-        seeds: &[(usize, &NodeSet)],
-    ) -> Vec<Vec<NodeId>> {
-        let tree = ctx.tree();
-        match self.strategy {
-            SelectedStrategy::Yannakakis | SelectedStrategy::XProperty => {
-                self.enumerator(ctx).tuples(seeds, scratch)
-            }
-            SelectedStrategy::Mac => {
-                MacSolver::new(tree).eval_tuples_with(&self.query, usize::MAX, &mut scratch.ac)
-            }
-            SelectedStrategy::Naive => NaiveEvaluator::new(tree).eval_tuples(&self.query),
-        }
     }
 
     fn witness_ctx(&self, ctx: Ctx<'_>, scratch: &mut ExecScratch) -> Option<Valuation> {
@@ -491,17 +508,49 @@ impl CompiledQuery {
         }
     }
 
+    /// Delivers the answer to `sink` tuple by tuple, in the order of the
+    /// collected answer; the one dispatch behind every answer-returning
+    /// entry point.
+    fn sink_ctx(
+        &self,
+        ctx: Ctx<'_>,
+        scratch: &mut ExecScratch,
+        seeds: &[(usize, &NodeSet)],
+        sink: &mut AnswerSink,
+    ) {
+        let tree = ctx.tree();
+        match (self.query.head_arity(), self.strategy) {
+            (0, _) => {
+                if self.boolean_ctx(ctx, scratch, seeds) {
+                    sink.push(&[]);
+                }
+            }
+            (1, _) => {
+                for node in self.monadic_ctx(ctx, scratch, seeds).iter() {
+                    sink.push(&[node]);
+                }
+            }
+            (_, SelectedStrategy::Yannakakis | SelectedStrategy::XProperty) => self
+                .enumerator(ctx)
+                .run(seeds, None, scratch, &mut |t| sink.push(t)),
+            (_, SelectedStrategy::Mac) => sink.push_answer(Answer::Tuples(
+                MacSolver::new(tree).eval_tuples_with(&self.query, usize::MAX, &mut scratch.ac),
+            )),
+            (_, SelectedStrategy::Naive) => sink.push_answer(Answer::Tuples(
+                NaiveEvaluator::new(tree).eval_tuples(&self.query),
+            )),
+        }
+    }
+
     fn answer_ctx(
         &self,
         ctx: Ctx<'_>,
         scratch: &mut ExecScratch,
         seeds: &[(usize, &NodeSet)],
     ) -> Answer {
-        match self.query.head_arity() {
-            0 => Answer::Boolean(self.boolean_ctx(ctx, scratch, seeds)),
-            1 => Answer::Nodes(self.monadic_ctx(ctx, scratch, seeds).iter().collect()),
-            _ => Answer::Tuples(self.tuples_ctx(ctx, scratch, seeds)),
-        }
+        let mut sink = AnswerSink::collect(self.query.head_arity());
+        self.sink_ctx(ctx, scratch, seeds, &mut sink);
+        sink.into_answer().expect("a collecting sink")
     }
 }
 

@@ -26,8 +26,12 @@
 //!   maintaining arc consistency (MAC) with minimum-remaining-values variable
 //!   ordering. Used for the NP-hard signatures of Section 5.
 //! * [`naive`] — a brute-force backtracking baseline without propagation.
-//! * [`enumerate`] — the fix-and-decide answer enumerator of both tractable
-//!   engines: one seeded propagation per fixed head candidate (Lemma 3.4).
+//! * [`enumerate`] — the answer enumerator of both tractable engines: a
+//!   walk through the fully reduced sets of an acyclic query whose head
+//!   order allows it, otherwise one seeded propagation per fixed head
+//!   candidate (Lemma 3.4).
+//! * [`sink`] — where an execution delivers its answer: collected, folded
+//!   into a fingerprint as it is found, or counted.
 //! * [`yannakakis`] — semi-join based evaluation of acyclic queries
 //!   (Yannakakis' algorithm, referenced in Section 1 as the reason APQs are
 //!   desirable) and of acyclic positive queries.
@@ -59,6 +63,7 @@ pub mod minimize;
 pub mod naive;
 pub mod poly_eval;
 pub mod prevaluation;
+pub mod sink;
 pub mod support;
 pub mod tractability;
 pub mod xproperty;
@@ -76,6 +81,7 @@ pub use minimize::drop_implied_atoms;
 pub use naive::NaiveEvaluator;
 pub use poly_eval::XPropertyEvaluator;
 pub use prevaluation::{Prevaluation, Valuation};
+pub use sink::{answer_fingerprint, AnswerSink};
 pub use tractability::{SignatureAnalysis, Tractability};
 pub use xproperty::{theorem_4_1_orders, x_property_violation, XViolation};
 pub use yannakakis::YannakakisEvaluator;

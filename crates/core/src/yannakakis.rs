@@ -15,7 +15,7 @@
 //! every remaining candidate extensible to a satisfaction of its connected
 //! component, which yields Boolean evaluation, witness extraction, tuple
 //! checking, monadic evaluation and answer enumeration without backtracking
-//! (the last two by fix and decide, [`crate::enumerate`]).
+//! (the last two by the walk or by fix and decide, [`crate::enumerate`]).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -26,7 +26,7 @@ use cqt_trees::{NodeId, NodeSet, Tree};
 
 use crate::arc::initial_prevaluation;
 use crate::compiled::{Ctx, ExecScratch};
-use crate::enumerate::{Enumerator, Fixpoint};
+use crate::enumerate::{Enumerator, Fixpoint, Walk};
 use crate::prevaluation::{Prevaluation, Valuation};
 use crate::support::{revise_sources, revise_targets};
 
@@ -218,15 +218,17 @@ impl<'t> YannakakisEvaluator<'t> {
         Some(valuation)
     }
 
-    /// Runs `f` on the fix-and-decide enumerator of the acyclic `query`.
+    /// Runs `f` on the answer enumerator of the acyclic `query`: the walk
+    /// when its head admits one, fix and decide otherwise.
     fn enumerate<T>(
         &self,
         query: &ConjunctiveQuery,
         f: impl FnOnce(Enumerator<'_>) -> T,
     ) -> Result<T, NotAcyclicError> {
         let forest = query.graph().join_forest().ok_or(NotAcyclicError)?;
-        let plain = Ctx::Plain(self.tree);
-        Ok(f(Enumerator::new(plain, query, Fixpoint::Reduce(&forest))))
+        let walk = Walk::plan(query, &forest);
+        let fixpoint = Fixpoint::Reduce(&forest, walk.as_ref());
+        Ok(f(Enumerator::new(Ctx::Plain(self.tree), query, fixpoint)))
     }
 
     /// Whether `tuple` is an answer of the acyclic k-ary query.
@@ -252,8 +254,8 @@ impl<'t> YannakakisEvaluator<'t> {
 
     /// The full answer relation of the acyclic k-ary query (sorted,
     /// deduplicated head tuples; one empty tuple for a satisfied Boolean
-    /// query), enumerated by fix and decide from the full reduction
-    /// ([`crate::enumerate`]).
+    /// query), enumerated from the full reduction by the walk or by fix and
+    /// decide ([`crate::enumerate`]).
     pub fn eval_tuples(
         &self,
         query: &ConjunctiveQuery,

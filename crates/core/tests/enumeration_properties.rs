@@ -9,8 +9,11 @@
 //!   the `NaiveEvaluator`'s answer tuple for tuple, in order, through
 //!   `execute`, `eval_on`, `execute_seeded` and the public evaluators.
 //! * On a tree whose head domains multiply to over 10,000 combinations but
-//!   hold only 22 answers, enumeration takes one decide step per answer
-//!   prefix: no step per combination, and no tuple check.
+//!   hold only 22 answers, the X̲ engine takes one decide step per answer
+//!   prefix, and an acyclic head walked through the reduced sets takes
+//!   none: no step per combination, and no tuple check. An acyclic head
+//!   that reaches a variable only through a projected-out one still
+//!   decides.
 //! * On engine-scan-sized documents (3,000 nodes, shared vocabulary) the
 //!   answers equal `MacSolver`'s independent search.
 //!
@@ -305,24 +308,62 @@ fn enumeration_is_output_sensitive() {
             })
             .product();
         assert!(combinations >= 10_000, "{combinations} combinations");
-        // One decide step per fixed candidate. After the full reducer no
-        // step fails and the last head position needs none; here the X̲
-        // engine's steps all succeed too, at every position. A tuple check
-        // takes decide steps of its own (shown below), so equality also
-        // shows that enumeration checked no candidate tuple.
+        // After the full reducer both heads are walked through the reduced
+        // sets: no decide step at all. The X̲ engine takes one decide step
+        // per fixed candidate, and here all of them succeed, at every
+        // position. A tuple check takes decide steps of its own (shown
+        // below), so equality also shows that enumeration checked no
+        // candidate tuple.
         let decided_positions = if strategy == SelectedStrategy::Yannakakis {
             2
         } else {
             3
         };
         let steps = scratch.enumeration_steps();
-        assert_eq!(steps, prefixes(&tuples, decided_positions), "{text}");
+        let expected_steps = if strategy == SelectedStrategy::Yannakakis {
+            0
+        } else {
+            prefixes(&tuples, decided_positions)
+        };
+        assert_eq!(steps, expected_steps, "{text}");
         assert!(plan.execute_check_tuple(&prepared, &tuples[0], &mut scratch));
         assert_eq!(
             scratch.enumeration_steps() - steps,
             decided_positions as u64,
             "a tuple check decides each of its positions"
         );
+    }
+}
+
+#[test]
+fn walked_heads_take_no_decide_step_and_other_acyclic_heads_still_decide() {
+    let prepared = comb();
+    let tree = prepared.tree();
+    for (text, walked) in [
+        // Each head variable is joined to the one before it, in either
+        // orientation, repeated, or alone in its component.
+        ("Q(x, y) :- A(x), Child(x, y), B(y).", true),
+        (
+            "Q(z, y, x, y) :- A(x), Child(x, y), Child(y, z), C(z).",
+            true,
+        ),
+        ("Q(y, r, z) :- R(r), B(y), Child(y, z), C(z).", true),
+        // `z` is reached from `x` only through the projected-out `y`.
+        ("Q(x, z) :- A(x), Child(x, y), Child(y, z), C(z).", false),
+    ] {
+        let plan = CompiledQuery::parse(text).unwrap();
+        assert_eq!(plan.strategy(), SelectedStrategy::Yannakakis, "{text}");
+        let mut scratch = ExecScratch::new();
+        let answer = plan.execute(&prepared, &mut scratch);
+        assert_eq!(answer, naive_answer(tree, plan.query()), "{text}");
+        assert_eq!(answer.len(), 22, "{text}");
+        let steps = scratch.enumeration_steps();
+        if walked {
+            assert_eq!(steps, 0, "{text}");
+        } else {
+            // One decide step per `x`, the only position before the last.
+            assert_eq!(steps, 22, "{text}");
+        }
     }
 }
 

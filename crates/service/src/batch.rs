@@ -27,7 +27,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cqt_core::{Answer, BatchPlan, BatchScratch};
+use cqt_core::{Answer, AnswerSink, BatchPlan, BatchScratch};
 use cqt_trees::NodeId;
 
 use crate::index::LabelIndex;
@@ -126,6 +126,9 @@ pub struct PreparedBatch {
     plans: Vec<Arc<Plan>>,
     /// Maps each original query index to its entry in `plans`.
     unique_of: Vec<usize>,
+    /// The inverse of `unique_of`: the original query indices of each entry
+    /// in `plans`, ascending.
+    slots: Vec<Vec<usize>>,
     /// Shared-step analysis over the concatenation of every distinct
     /// plan's disjuncts.
     batch_plan: BatchPlan,
@@ -167,6 +170,10 @@ impl PreparedBatch {
                 }
             }
         }
+        let mut slots = vec![Vec::new(); plans.len()];
+        for (q, &u) in unique_of.iter().enumerate() {
+            slots[u].push(q);
+        }
         let mut disjunct_base = Vec::with_capacity(plans.len());
         let mut flat: Vec<&cqt_core::CompiledQuery> = Vec::new();
         for plan in &plans {
@@ -186,6 +193,7 @@ impl PreparedBatch {
         PreparedBatch {
             plans,
             unique_of,
+            slots,
             batch_plan,
             disjunct_base,
             prune,
@@ -232,48 +240,100 @@ impl PreparedBatch {
         answers: &mut Vec<Answer>,
         prune_stats: &mut PruneStats,
     ) -> u64 {
+        let mut sinks: Vec<AnswerSink> = self
+            .plans
+            .iter()
+            .map(|plan| AnswerSink::collect(plan.head_arity()))
+            .collect();
+        let executions = self.serve(document, scratch, &mut sinks, prune_stats);
+        answers.extend(
+            self.unique_of
+                .iter()
+                .map(|&u| sinks[u].answer().expect("a collecting sink").clone()),
+        );
+        executions
+    }
+
+    /// Serves every query of the batch from one snapshot of `document` as
+    /// [`PreparedBatch::execute_document`] does, but adds
+    /// `answer_fingerprint(keys[q], answer)` to `fingerprints[q]` (wrapping)
+    /// instead of returning the answers: each distinct query folds its
+    /// answer as it is found, under the keys of every original query it
+    /// stands for.
+    pub fn fold_document(
+        &self,
+        document: &Document,
+        scratch: &mut BatchScratch,
+        keys: &[u64],
+        fingerprints: &mut [u64],
+        prune_stats: &mut PruneStats,
+    ) -> u64 {
+        let mut sinks: Vec<AnswerSink> = self
+            .plans
+            .iter()
+            .zip(&self.slots)
+            .map(|(plan, slots)| {
+                AnswerSink::fingerprints(slots.iter().map(|&q| keys[q]), plan.head_arity())
+            })
+            .collect();
+        let executions = self.serve(document, scratch, &mut sinks, prune_stats);
+        for (sink, slots) in sinks.iter().zip(&self.slots) {
+            for (&q, folded) in slots.iter().zip(sink.fingerprint_values()) {
+                fingerprints[q] = fingerprints[q].wrapping_add(folded);
+            }
+        }
+        executions
+    }
+
+    /// Serves every distinct plan `u` of the batch into `sinks[u]` from one
+    /// snapshot of `document`; returns the evaluator runs performed.
+    fn serve(
+        &self,
+        document: &Document,
+        scratch: &mut BatchScratch,
+        sinks: &mut [AnswerSink],
+        prune_stats: &mut PruneStats,
+    ) -> u64 {
         let snapshot = document.handle().snapshot();
         scratch.begin_document(&self.batch_plan, snapshot.prepared.tree().len());
         self.batch_plan.warm(&snapshot.prepared);
+        let summary = snapshot.prepared.doc_summary();
         let mut executions = 0u64;
-        let mut unique_answers: Vec<Answer> = Vec::with_capacity(self.plans.len());
-        for (u, plan) in self.plans.iter().enumerate() {
-            let empty = plan.empty_answer();
+        for (u, (plan, sink)) in self.plans.iter().zip(sinks).enumerate() {
             let check = self.prune.as_ref().map(|survivors| PruneCheck {
                 plan,
-                empty: &empty,
                 index_candidate: survivors
                     .as_ref()
                     .map_or(true, |s| s.contains(document.id())),
             });
-            let answer =
-                serve_document(check, snapshot.prepared.doc_summary(), prune_stats, || {
-                    executions += 1;
-                    self.execute_unique(u, &snapshot.prepared, scratch)
-                });
-            unique_answers.push(answer.into_owned());
+            serve_document(check, summary, prune_stats, sink, |sink| {
+                executions += 1;
+                self.execute_unique(u, &snapshot.prepared, scratch, sink)
+            });
         }
-        answers.extend(self.unique_of.iter().map(|&u| unique_answers[u].clone()));
         executions
     }
 
-    /// Executes distinct plan `u` through the shared-step table, unioning
-    /// its disjuncts in exactly the shapes [`Plan::execute`] uses — answer
-    /// equality with the one-at-a-time path is what the differential suite
-    /// checks.
+    /// Executes distinct plan `u` through the shared-step table into `sink`,
+    /// unioning its disjuncts in exactly the shapes [`Plan::execute`] uses —
+    /// answer equality with the one-at-a-time path is what the differential
+    /// suite checks.
     fn execute_unique(
         &self,
         u: usize,
         prepared: &cqt_trees::PreparedTree,
         scratch: &mut BatchScratch,
-    ) -> Answer {
+        sink: &mut AnswerSink,
+    ) {
         let plan = &self.plans[u];
         let base = self.disjunct_base[u];
         let disjuncts = plan.disjuncts();
         if let [disjunct] = disjuncts {
-            return self.batch_plan.execute(base, disjunct, prepared, scratch);
+            return self
+                .batch_plan
+                .execute_into(base, disjunct, prepared, scratch, sink);
         }
-        match plan.head_arity() {
+        let union = match plan.head_arity() {
             0 => {
                 let mut found = false;
                 for (k, disjunct) in disjuncts.iter().enumerate() {
@@ -312,7 +372,8 @@ impl PreparedBatch {
                 }
                 Answer::Tuples(tuples.into_iter().collect())
             }
-        }
+        };
+        sink.push_answer(union);
     }
 }
 

@@ -48,7 +48,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use cqt_core::{BatchScratch, ExecScratch};
+use cqt_core::{AnswerSink, BatchScratch, ExecScratch};
 use rustc_hash::FxHashMap;
 
 use crate::batch::PreparedBatch;
@@ -60,7 +60,7 @@ use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanOptions};
 use crate::replication::replicate_stream;
 use crate::runner::{serve_document, PruneCheck};
 use crate::shard::{Corpus, FanOut};
-use crate::stats::{answer_fingerprint, doc_fp_key, PruneStats, ReplicationStats};
+use crate::stats::{doc_fp_key, PruneStats, ReplicationStats};
 use crate::workload::QuerySpec;
 
 /// Configuration of a [`NetServer`].
@@ -701,7 +701,6 @@ fn execute_single(
     // own snapshot summary, so a posting list racing a concurrent commit
     // can cost a wasted execution but never a wrong answer.
     let plan = shared.cache.get_or_compile(spec, &shared.plan);
-    let empty = plan.empty_answer();
     let survivors = shared
         .corpus
         .label_index()
@@ -711,12 +710,13 @@ fn execute_single(
         let snapshot = document.handle().snapshot();
         let check = PruneCheck {
             plan: &plan,
-            empty: &empty,
             index_candidate: survivors
                 .as_ref()
                 .map_or(true, |ids| ids.contains(document.id())),
         };
-        let answer = serve_document(Some(check), snapshot.prepared.doc_summary(), prune, || {
+        let mut sink = AnswerSink::fingerprint(doc_fp_key(fp_key, j), plan.head_arity());
+        let summary = snapshot.prepared.doc_summary();
+        serve_document(Some(check), summary, prune, &mut sink, |sink| {
             shared
                 .cache
                 .get_or_compile_tagged(
@@ -725,9 +725,10 @@ fn execute_single(
                     &shared.plan,
                     document.doc_tag(),
                 )
-                .execute(&snapshot.prepared, scratch)
+                .execute_into(&snapshot.prepared, scratch, sink)
         });
-        fingerprint = fingerprint.wrapping_add(answer_fingerprint(doc_fp_key(fp_key, j), &answer));
+        fingerprint =
+            fingerprint.wrapping_add(sink.fingerprint_value().expect("a fingerprint sink"));
     }
     fingerprint
 }
@@ -753,14 +754,11 @@ fn execute_batch(
         Some(shared.corpus.label_index()),
     );
     let mut fingerprints = vec![0u64; queries.len()];
-    let mut answers = Vec::with_capacity(queries.len());
+    let mut keys = Vec::with_capacity(queries.len());
     for (j, document) in documents.iter().enumerate() {
-        answers.clear();
-        batch.execute_document(document, scratch, &mut answers, prune);
-        for (q, answer) in answers.iter().enumerate() {
-            let fp_key = doc_fp_key(queries[q].1, j);
-            fingerprints[q] = fingerprints[q].wrapping_add(answer_fingerprint(fp_key, answer));
-        }
+        keys.clear();
+        keys.extend(queries.iter().map(|(_, fp_key)| doc_fp_key(*fp_key, j)));
+        batch.fold_document(document, scratch, &keys, &mut fingerprints, prune);
     }
     fingerprints
 }

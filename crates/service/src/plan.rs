@@ -16,7 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use cqt_core::{
-    drop_implied_atoms, Answer, CompiledQuery, EvalStrategy, ExecScratch, SelectedStrategy,
+    drop_implied_atoms, Answer, AnswerSink, CompiledQuery, EvalStrategy, ExecScratch,
+    SelectedStrategy,
 };
 use cqt_query::ConjunctiveQuery;
 use cqt_rewrite::rewrite::{rewrite_to_apq_with, RewriteOptions};
@@ -327,19 +328,22 @@ impl Plan {
     }
 
     /// The empty answer in this plan's shape — what [`Plan::execute`] returns
-    /// on a document with no matches, and what the pruned fan-out path folds
-    /// into the gathered fingerprint for documents it never executes.
+    /// on a document with no matches, and what an answer sink that received
+    /// nothing holds: the pruned fan-out path folds it for documents it
+    /// never executes.
     pub fn empty_answer(&self) -> Answer {
-        match self.head_arity {
-            0 => Answer::Boolean(false),
-            1 => Answer::Nodes(Vec::new()),
-            _ => Answer::Tuples(Vec::new()),
-        }
+        AnswerSink::collect(self.head_arity)
+            .into_answer()
+            .expect("a collecting sink")
     }
 
     /// Executes the plan against a prepared tree: the disjuncts' answers,
-    /// unioned in the shape matching the head arity.
+    /// unioned in the shape matching the head arity. A single disjunct's
+    /// answer is already sorted and duplicate-free, and is returned as is.
     pub fn execute(&self, prepared: &PreparedTree, scratch: &mut ExecScratch) -> Answer {
+        if let [disjunct] = self.disjuncts.as_slice() {
+            return disjunct.execute(prepared, scratch);
+        }
         match self.head_arity {
             0 => Answer::Boolean(
                 self.disjuncts
@@ -362,6 +366,21 @@ impl Plan {
                 }
                 Answer::Tuples(tuples.into_iter().collect())
             }
+        }
+    }
+
+    /// Executes the plan against a prepared tree, delivering the answer of
+    /// [`Plan::execute`] to `sink`: a single disjunct streams its tuples
+    /// into the sink as they are found; several disjuncts are unioned first.
+    pub fn execute_into(
+        &self,
+        prepared: &PreparedTree,
+        scratch: &mut ExecScratch,
+        sink: &mut AnswerSink,
+    ) {
+        match self.disjuncts.as_slice() {
+            [disjunct] => disjunct.execute_into(prepared, scratch, sink),
+            _ => sink.push_answer(self.execute(prepared, scratch)),
         }
     }
 }

@@ -10,9 +10,9 @@
 //!   and hand their state back to be merged once the cursor runs dry;
 //! * **the step** (`serve_document`) — one query on one document
 //!   snapshot: decide from the label index's verdict and the snapshot's own
-//!   summary whether the answer is provably empty, then fold that empty
-//!   answer or execute, counting [`PruneStats`]. The TCP front end
-//!   ([`crate::net`]) and the batch layer ([`PreparedBatch`]) go through
+//!   summary whether the answer is provably empty, then leave the answer
+//!   sink empty or execute into it, counting [`PruneStats`]. The TCP front
+//!   end ([`crate::net`]) and the batch layer ([`PreparedBatch`]) go through
 //!   the same step, and every scatter keys its per-document answers by
 //!   (request key, fan-out position) the same way, so all paths prune and
 //!   fingerprint identically.
@@ -23,13 +23,12 @@
 //! (N readers plus one writer thread per mutated document — a one-document
 //! corpus with one writer is the single-document read/write case).
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cqt_core::{Answer, BatchScratch, ExecScratch};
+use cqt_core::{AnswerSink, BatchScratch, ExecScratch};
 use cqt_trees::edit::EditScript;
 use cqt_trees::DocSummary;
 
@@ -38,8 +37,8 @@ use crate::corpus::CommitReport;
 use crate::plan::{Plan, PlanCache, PlanKey, PlanOptions};
 use crate::shard::{Corpus, CorpusError, DocId, Document, SharingSummary};
 use crate::stats::{
-    answer_fingerprint, doc_fp_key, BatchReport, BatchSharing, CorpusMutationReport, CorpusReport,
-    LatencySummary, PruneStats,
+    doc_fp_key, BatchReport, BatchSharing, CorpusMutationReport, CorpusReport, LatencySummary,
+    PruneStats,
 };
 use crate::workload::{CorpusMutationWorkload, CorpusWorkload};
 
@@ -93,16 +92,14 @@ pub(crate) struct PruneCheck<'a> {
     /// The document-independent plan: the labels and axes every answer
     /// requires.
     pub(crate) plan: &'a Plan,
-    /// The plan's empty answer, returned for a pruned document.
-    pub(crate) empty: &'a Answer,
     /// Whether the corpus label index kept the document (its posting lists
     /// hold every required label).
     pub(crate) index_candidate: bool,
 }
 
 /// The per-document step every scatter path shares: serves one query on the
-/// document snapshot whose summary is `summary`, executing through
-/// `execute` unless `prune` proves the answer empty.
+/// document snapshot whose summary is `summary`, executing into `sink`
+/// through `execute` unless `prune` proves the answer empty.
 ///
 /// The decision is exact whatever the index says, because it re-checks the
 /// snapshot's own summary:
@@ -117,21 +114,22 @@ pub(crate) struct PruneCheck<'a> {
 ///   returns the correct empty answer (counted as a false positive).
 ///
 /// A pruned document's answer on this snapshot is provably empty, so
-/// returning `prune.empty` without executing is fingerprint-exact. `stats`
-/// counts every decision; with `prune` unset the step just executes.
-pub(crate) fn serve_document<'a>(
-    prune: Option<PruneCheck<'a>>,
+/// leaving `sink` as it is, without executing, is fingerprint-exact: a sink
+/// that received nothing holds the empty answer. `stats` counts every
+/// decision; with `prune` unset the step just executes.
+pub(crate) fn serve_document(
+    prune: Option<PruneCheck<'_>>,
     summary: &DocSummary,
     stats: &mut PruneStats,
-    execute: impl FnOnce() -> Answer,
-) -> Cow<'a, Answer> {
+    sink: &mut AnswerSink,
+    execute: impl FnOnce(&mut AnswerSink),
+) {
     let Some(PruneCheck {
         plan,
-        empty,
         index_candidate,
     }) = prune
     else {
-        return Cow::Owned(execute());
+        return execute(sink);
     };
     stats.candidates += 1;
     let should_prune = plan.is_always_empty()
@@ -144,14 +142,14 @@ pub(crate) fn serve_document<'a>(
         };
     if should_prune {
         stats.pruned += 1;
-        return Cow::Borrowed(empty);
+        return;
     }
     stats.survivors += 1;
-    let answer = execute();
-    if answer == *empty {
+    let before = sink.answers();
+    execute(sink);
+    if sink.answers() == before {
         stats.false_positives += 1;
     }
-    Cow::Owned(answer)
 }
 
 /// What one scatter worker gathers; summed across workers after the run.
@@ -294,13 +292,12 @@ impl ServiceRunner {
             .map(|r| corpus.select(&r.target))
             .collect();
         // Prune state per request: the document-independent compiled plan
-        // (source of required labels/axes and the empty answer) and the
-        // posting-list intersection over the corpus label index — computed
-        // once here, before the fan-out, so the hot loop only tests set
-        // membership. `None` inner set = the plan requires no labels, so
-        // the index cannot prune (axis checks still can).
-        #[allow(clippy::type_complexity)]
-        let pruners: Vec<Option<(Plan, Answer, Option<BTreeSet<DocId>>)>> = workload
+        // (source of required labels and axes) and the posting-list
+        // intersection over the corpus label index — computed once here,
+        // before the fan-out, so the hot loop only tests set membership.
+        // `None` inner set = the plan requires no labels, so the index
+        // cannot prune (axis checks still can).
+        let pruners: Vec<Option<(Plan, Option<BTreeSet<DocId>>)>> = workload
             .requests
             .iter()
             .map(|r| {
@@ -308,9 +305,8 @@ impl ServiceRunner {
                     return None;
                 }
                 let (plan, _analyses) = Plan::compile(&r.query, &self.config.plan);
-                let empty = plan.empty_answer();
                 let survivors = corpus.label_index().candidates(plan.required_labels());
-                Some((plan, empty, survivors))
+                Some((plan, survivors))
             })
             .collect();
         let documents = corpus.len();
@@ -325,20 +321,23 @@ impl ServiceRunner {
                 let spec = &workload.requests[request_index].query;
                 for (j, document) in targets[request_index].iter().enumerate() {
                     let snapshot = document.handle().snapshot();
-                    let check = pruners[request_index]
-                        .as_ref()
-                        .map(|(plan, empty, survivors)| PruneCheck {
-                            plan,
-                            empty,
-                            index_candidate: survivors
-                                .as_ref()
-                                .map_or(true, |s| s.contains(document.id())),
-                        });
-                    let answer = serve_document(
+                    let check =
+                        pruners[request_index]
+                            .as_ref()
+                            .map(|(plan, survivors)| PruneCheck {
+                                plan,
+                                index_candidate: survivors
+                                    .as_ref()
+                                    .map_or(true, |s| s.contains(document.id())),
+                            });
+                    let mut sink =
+                        AnswerSink::fingerprint(doc_fp_key(i as u64, j), spec.head_arity());
+                    serve_document(
                         check,
                         snapshot.prepared.doc_summary(),
                         &mut worker.prune,
-                        || {
+                        &mut sink,
+                        |sink| {
                             worker.executions += 1;
                             let key = keys[request_index]
                                 .with_document(snapshot.prepared.structure_hash());
@@ -349,12 +348,12 @@ impl ServiceRunner {
                                     &self.config.plan,
                                     document.doc_tag(),
                                 )
-                                .execute(&snapshot.prepared, scratch)
+                                .execute_into(&snapshot.prepared, scratch, sink)
                         },
                     );
                     worker.fingerprint = worker
                         .fingerprint
-                        .wrapping_add(answer_fingerprint(doc_fp_key(i as u64, j), &answer));
+                        .wrapping_add(sink.fingerprint_value().expect("a fingerprint sink"));
                 }
             },
             |(_, worker)| tally.absorb(&worker),
@@ -424,24 +423,41 @@ impl ServiceRunner {
         let latencies = self.pool(
             total,
             &AtomicUsize::new(0),
-            || (BatchScratch::new(), Vec::new(), Tally::default(), 0u64),
-            |i, (scratch, answers, worker, worker_answers)| {
+            || {
+                (
+                    BatchScratch::new(),
+                    Vec::new(),
+                    Vec::new(),
+                    Tally::default(),
+                    0u64,
+                )
+            },
+            |i, (scratch, keys, fingerprints, worker, worker_answers)| {
                 let b = workload.batch_of(i);
                 let rep = i / batches_len;
+                let queries = workload.batches[b].queries.len();
                 for (j, document) in targets[b].iter().enumerate() {
-                    answers.clear();
-                    worker.executions +=
-                        prepared[b].execute_document(document, scratch, answers, &mut worker.prune);
-                    for (q, answer) in answers.iter().enumerate() {
-                        let flat_i = (rep * flat_len + flat_base[b] + q) as u64;
-                        worker.fingerprint = worker
-                            .fingerprint
-                            .wrapping_add(answer_fingerprint(doc_fp_key(flat_i, j), answer));
+                    keys.clear();
+                    keys.extend(
+                        (0..queries)
+                            .map(|q| doc_fp_key((rep * flat_len + flat_base[b] + q) as u64, j)),
+                    );
+                    fingerprints.clear();
+                    fingerprints.resize(queries, 0u64);
+                    worker.executions += prepared[b].fold_document(
+                        document,
+                        scratch,
+                        keys,
+                        fingerprints,
+                        &mut worker.prune,
+                    );
+                    for fingerprint in fingerprints.iter() {
+                        worker.fingerprint = worker.fingerprint.wrapping_add(*fingerprint);
                     }
-                    *worker_answers += answers.len() as u64;
+                    *worker_answers += queries as u64;
                 }
             },
-            |(scratch, _, worker, worker_answers)| {
+            |(scratch, _, _, worker, worker_answers)| {
                 tally.absorb(&worker);
                 doc_answers += worker_answers;
                 sharing.step_evals += scratch.step_evals();
@@ -532,16 +548,13 @@ impl ServiceRunner {
         // snapshot summary, so a pruned read observes exactly the empty
         // answer its snapshot epoch would have produced — the oracle check
         // holds with pruning on or off.
-        let pruners: Vec<Option<(Plan, Answer)>> = workload
+        let pruners: Vec<Option<Plan>> = workload
             .queries
             .iter()
             .map(|spec| {
-                if !self.config.prune {
-                    return None;
-                }
-                let (plan, _analyses) = Plan::compile(spec, &self.config.plan);
-                let empty = plan.empty_answer();
-                Some((plan, empty))
+                self.config
+                    .prune
+                    .then(|| Plan::compile(spec, &self.config.plan).0)
             })
             .collect();
         // One read of query `query_index` against document `doc_index`,
@@ -549,33 +562,27 @@ impl ServiceRunner {
         let serve_one = |query_index: usize, doc_index: usize, reader: &mut Reader| {
             let document = &readers_docs[doc_index];
             let snapshot = document.handle().snapshot();
-            let check = pruners[query_index]
-                .as_ref()
-                .map(|(plan, empty)| PruneCheck {
-                    plan,
-                    empty,
-                    index_candidate: plan
-                        .required_labels()
-                        .iter()
-                        .all(|label| corpus.label_index().contains(label, document.id())),
-                });
+            let check = pruners[query_index].as_ref().map(|plan| PruneCheck {
+                plan,
+                index_candidate: plan
+                    .required_labels()
+                    .iter()
+                    .all(|label| corpus.label_index().contains(label, document.id())),
+            });
             let summary = snapshot.prepared.doc_summary();
-            let answer = serve_document(check, summary, &mut reader.prune, || {
+            let spec = &workload.queries[query_index];
+            let mut sink = AnswerSink::fingerprint(query_index as u64, spec.head_arity());
+            serve_document(check, summary, &mut reader.prune, &mut sink, |sink| {
                 let key = keys[query_index].with_document(snapshot.prepared.structure_hash());
                 self.cache
-                    .get_or_compile_tagged(
-                        key,
-                        &workload.queries[query_index],
-                        &self.config.plan,
-                        document.doc_tag(),
-                    )
-                    .execute(&snapshot.prepared, &mut reader.scratch)
+                    .get_or_compile_tagged(key, spec, &self.config.plan, document.doc_tag())
+                    .execute_into(&snapshot.prepared, &mut reader.scratch, sink)
             });
             reader.observations.insert((
                 document.id().clone(),
                 query_index,
                 snapshot.epoch,
-                answer_fingerprint(query_index as u64, &answer),
+                sink.fingerprint_value().expect("a fingerprint sink"),
             ));
         };
         // Probe every (query, document) pair once on the main thread.
@@ -709,8 +716,9 @@ fn sweep_superseded(cache: &PlanCache, commits: &[CommitReport]) {
 mod tests {
     use super::*;
     use crate::shard::{CorpusMutationOracle, FanOut};
+    use crate::stats::answer_fingerprint;
     use crate::workload::{CorpusRequest, QuerySpec};
-    use cqt_core::Engine;
+    use cqt_core::{Answer, Engine};
     use cqt_query::cq::figure1_query;
     use cqt_trees::edit::{EditError, TreeEdit};
     use cqt_trees::parse::parse_term;
@@ -835,21 +843,24 @@ mod tests {
         let summary = prepared.doc_summary();
         let spec = QuerySpec::parse_cq("Q(y) :- A(x), Child(x, y), B(y).").unwrap();
         let (plan, _) = Plan::compile(&spec, &PlanOptions::default());
-        let empty = plan.empty_answer();
         let check = |index_candidate| {
             Some(PruneCheck {
                 plan: &plan,
-                empty: &empty,
                 index_candidate,
             })
         };
+        let answer = Answer::Nodes(vec![cqt_trees::NodeId::from_index(2)]);
         let mut stats = PruneStats::default();
         // The index missed the document's labels, but its summary has them:
         // the step executes anyway.
-        let answer = serve_document(check(false), summary, &mut stats, || Answer::Boolean(true));
-        assert_eq!(*answer, Answer::Boolean(true));
+        let mut sink = AnswerSink::collect(1);
+        serve_document(check(false), summary, &mut stats, &mut sink, |sink| {
+            sink.push_answer(answer.clone())
+        });
+        assert_eq!(sink.into_answer(), Some(answer));
         // A candidate whose answer comes back empty is a false positive.
-        serve_document(check(true), summary, &mut stats, || empty.clone());
+        let mut sink = AnswerSink::collect(1);
+        serve_document(check(true), summary, &mut stats, &mut sink, |_| {});
         assert_eq!(
             stats,
             PruneStats {
@@ -859,12 +870,21 @@ mod tests {
                 false_positives: 1,
             }
         );
-        // A document without the labels is pruned without executing.
+        // A document without the labels is pruned without executing, and
+        // its sink holds the empty answer.
         let bare = cqt_trees::PreparedTree::new(parse_term("R(C)").unwrap());
-        let answer = serve_document(check(false), bare.doc_summary(), &mut stats, || {
-            unreachable!("a pruned document never executes")
-        });
-        assert!(matches!(answer, Cow::Borrowed(_)));
+        let mut sink = AnswerSink::fingerprint(7, 1);
+        serve_document(
+            check(false),
+            bare.doc_summary(),
+            &mut stats,
+            &mut sink,
+            |_| unreachable!("a pruned document never executes"),
+        );
+        assert_eq!(
+            sink.fingerprint_value(),
+            Some(answer_fingerprint(7, &plan.empty_answer()))
+        );
         assert_eq!(stats.pruned, 1);
     }
 

@@ -14,36 +14,18 @@ use crate::corpus::CommitReport;
 use crate::plan::PlanCacheStats;
 use crate::shard::{DocId, SharingSummary};
 
-/// An order-independent fingerprint of one answer, mixed with a caller
-/// `key`: scatter–gather runs and the TCP front end key each per-document
-/// answer by (request, document position) through `doc_fp_key` (so
-/// swapping two different answers between requests or documents changes the
-/// sum), while [`crate::runner::ServiceRunner::run_corpus_mutating`] and the
+/// A fingerprint of one answer, mixed with a caller `key`:
+/// [`cqt_core::answer_fingerprint`], whose mixing a fingerprint
+/// [`cqt_core::AnswerSink`] reproduces tuple by tuple. Scatter–gather runs
+/// and the TCP front end key each per-document answer by (request, document
+/// position) through `doc_fp_key` and sum the results, so the sum is
+/// independent of execution order while swapping two different answers
+/// between requests or documents changes it;
+/// [`crate::runner::ServiceRunner::run_corpus_mutating`] and the
 /// [`crate::corpus::MutationOracle`] key by query index (so fingerprints of
 /// the same query are comparable across epochs and runs).
 pub fn answer_fingerprint(key: u64, answer: &Answer) -> u64 {
-    let mut h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xcafe_f00d;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    match answer {
-        Answer::Boolean(b) => mix(u64::from(*b)),
-        Answer::Nodes(nodes) => {
-            for node in nodes {
-                mix(node.index() as u64 + 1);
-            }
-        }
-        Answer::Tuples(tuples) => {
-            for tuple in tuples {
-                for node in tuple {
-                    mix(node.index() as u64 + 1);
-                }
-                mix(u64::MAX);
-            }
-        }
-    }
-    h
+    cqt_core::answer_fingerprint(key, answer)
 }
 
 /// The fingerprint key of the answer a scatter gathers from the document at

@@ -51,6 +51,15 @@ impl QuerySpec {
     pub fn from_cq(query: ConjunctiveQuery) -> Self {
         QuerySpec::Cq(query)
     }
+
+    /// Arity of the answer: the head arity of a conjunctive query, 1 for an
+    /// XPath query (it selects nodes).
+    pub fn head_arity(&self) -> usize {
+        match self {
+            QuerySpec::Cq(query) => query.head_arity(),
+            QuerySpec::XPath(_) => 1,
+        }
+    }
 }
 
 impl fmt::Display for QuerySpec {
