@@ -26,7 +26,6 @@ fn semijoin_kernels(c: &mut Criterion) {
         let tree = benchmark_tree(nodes, 7);
         // A realistically dense candidate set (~1/5 of the nodes).
         let targets = tree.nodes_with_label_name("A");
-        let targets_pre = tree.to_pre_space(&targets);
         let mut out = NodeSet::empty(tree.len());
         for axis in AXES {
             group.bench_function(
@@ -35,7 +34,7 @@ fn semijoin_kernels(c: &mut Criterion) {
             );
             group.bench_function(
                 BenchmarkId::new(format!("sources/word/{axis}"), nodes),
-                |b| b.iter(|| pre_supported_sources(&tree, axis, &targets_pre, &mut out)),
+                |b| b.iter(|| pre_supported_sources(&tree, axis, &targets, &mut out)),
             );
             group.bench_function(
                 BenchmarkId::new(format!("targets/scalar/{axis}"), nodes),
@@ -43,7 +42,7 @@ fn semijoin_kernels(c: &mut Criterion) {
             );
             group.bench_function(
                 BenchmarkId::new(format!("targets/word/{axis}"), nodes),
-                |b| b.iter(|| pre_supported_targets(&tree, axis, &targets_pre, &mut out)),
+                |b| b.iter(|| pre_supported_targets(&tree, axis, &targets, &mut out)),
             );
         }
     }

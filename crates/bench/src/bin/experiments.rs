@@ -864,7 +864,6 @@ fn bench_baseline(smoke: bool, json_path: Option<&str>, check_path: Option<&str>
         let tree = benchmark_tree(nodes, 7);
         // A realistically dense candidate set (~1/5 of the nodes).
         let set = tree.nodes_with_label_name("A");
-        let set_pre = tree.to_pre_space(&set);
         let mut out = NodeSet::empty(nodes);
         for axis in axes {
             for (kernel, scalar_ns, word_ns) in [
@@ -874,7 +873,7 @@ fn bench_baseline(smoke: bool, json_path: Option<&str>, check_path: Option<&str>
                         std::hint::black_box(scalar::supported_sources(&tree, axis, &set));
                     }),
                     time_median_ns(samples, || {
-                        pre_supported_sources(&tree, axis, &set_pre, &mut out);
+                        pre_supported_sources(&tree, axis, &set, &mut out);
                         std::hint::black_box(&out);
                     }),
                 ),
@@ -884,7 +883,7 @@ fn bench_baseline(smoke: bool, json_path: Option<&str>, check_path: Option<&str>
                         std::hint::black_box(scalar::supported_targets(&tree, axis, &set));
                     }),
                     time_median_ns(samples, || {
-                        pre_supported_targets(&tree, axis, &set_pre, &mut out);
+                        pre_supported_targets(&tree, axis, &set, &mut out);
                         std::hint::black_box(&out);
                     }),
                 ),

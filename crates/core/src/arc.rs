@@ -9,10 +9,10 @@
 //!   whose revision step uses the word-parallel rank-space semijoin kernels
 //!   of [`crate::support`]. Each queue entry revises one direction of one
 //!   atom; a shrink re-enqueues only the arcs whose *support side* is the
-//!   shrunken variable. All candidate sets are converted to pre-order rank
-//!   space once up front and every revision writes into the reusable scratch
-//!   buffers of an [`AcScratch`], so the fixpoint loop performs **zero
-//!   `NodeSet` allocations**. It never materializes the axis relations and
+//!   shrunken variable. Node ids are pre-order ranks, so the candidate sets
+//!   are the kernels' rank-space sets as they are; every revision writes into
+//!   the reusable scratch buffers of an [`AcScratch`], so the fixpoint loop
+//!   performs **zero `NodeSet` allocations**. It never materializes the axis relations and
 //!   is the engine used by the evaluators.
 //! * [`arc_consistent_prevaluation_hornsat`] — a literal rendering of the
 //!   proof of Proposition 3.1: the axis relations are materialized, support
@@ -52,10 +52,9 @@ pub fn initial_prevaluation(tree: &Tree, query: &ConjunctiveQuery) -> Prevaluati
 /// in the steady state.
 #[derive(Debug, Default)]
 pub struct AcScratch {
-    /// Rank-space candidate set per variable. The compiled-query fast path
-    /// ([`crate::compiled`]) loads these directly from a
-    /// [`cqt_trees::PreparedTree`]'s cached label sets and reads the fixpoint
-    /// back out, which is why they are crate-visible.
+    /// Candidate set per variable. The compiled-query fast path
+    /// ([`crate::compiled`]) loads these directly from the tree's label sets
+    /// and reads the fixpoint back out, which is why they are crate-visible.
     pub(crate) sets: Vec<NodeSet>,
     /// Scratch for the freshly computed support set of one revision.
     support: NodeSet,
@@ -101,11 +100,10 @@ pub fn arc_consistent_from_with(
     if !propagate(tree, query, &pre, scratch) {
         return None;
     }
-    // Convert the rank-space fixpoint back into the caller's prevaluation,
-    // reusing its set allocations.
+    // Copy the fixpoint into the caller's prevaluation, reusing its set
+    // allocations.
     for i in 0..query.var_count() {
-        let var = Var::from_index(i);
-        tree.from_pre_space_into(&scratch.sets[i], pre.get_mut(var));
+        pre.get_mut(Var::from_index(i)).copy_from(&scratch.sets[i]);
     }
     Some(pre)
 }
@@ -124,14 +122,12 @@ pub fn arc_consistent_closure(
     if !propagate(tree, query, start, scratch) {
         return None;
     }
-    let sets = (0..query.var_count())
-        .map(|i| tree.from_pre_space(&scratch.sets[i]))
-        .collect();
+    let sets = scratch.sets[..query.var_count()].to_vec();
     Some(Prevaluation::from_sets(query, sets))
 }
 
-/// Core directed-arc worklist. Loads `start` into `scratch` (rank space) and
-/// runs revisions to the fixpoint. Returns `false` iff some candidate set
+/// Core directed-arc worklist. Loads `start` into `scratch` and runs
+/// revisions to the fixpoint. Returns `false` iff some candidate set
 /// became empty. On success the fixpoint is left in `scratch.sets`.
 fn propagate(
     tree: &Tree,
@@ -142,8 +138,7 @@ fn propagate(
     let n = tree.len();
     let var_count = query.var_count();
 
-    // Load the candidate sets into rank space, reusing buffers of matching
-    // capacity.
+    // Load the candidate sets, reusing buffers of matching capacity.
     scratch.sets.resize_with(var_count, || NodeSet::empty(n));
     for (i, set) in scratch.sets.iter_mut().enumerate() {
         if set.capacity() != n {
@@ -153,17 +148,17 @@ fn propagate(
         if domain.is_empty() {
             return false;
         }
-        tree.to_pre_space_into(domain, set);
+        set.copy_from(domain);
     }
     propagate_loaded(tree, query, scratch, None)
 }
 
 /// The revision loop of [`propagate`], operating on candidate sets that are
-/// **already loaded** into `scratch.sets` in pre-order rank space (one set
-/// per query variable, each with capacity `tree.len()`). Used directly by the
-/// compiled-query fast path, which loads the start sets from a prepared
-/// tree's cached label sets instead of going through a raw-space
-/// [`Prevaluation`]. On success the fixpoint is left in `scratch.sets`.
+/// **already loaded** into `scratch.sets` (one set per query variable, each
+/// with capacity `tree.len()`). Used directly by the compiled-query fast
+/// path, which loads the start sets from the tree's label sets instead of
+/// going through a [`Prevaluation`]. On success the fixpoint is left in
+/// `scratch.sets`.
 ///
 /// `changed: None` seeds the worklist with every directed arc; `Some(v)`,
 /// for a fixpoint whose `v` has since shrunk, only the arcs `v` supports —

@@ -24,13 +24,12 @@
 //!   step for a query comes back **empty**, the query's answer is empty for
 //!   *every* strategy — the batch executor short-circuits without touching
 //!   the evaluator at all.
-//! * **Label warm-up.** [`BatchPlan::warm`] touches the union of the batch's
-//!   label names once, forcing the prepared tree's lazy rank-space label
-//!   caches a single time up front instead of on k first-touches spread
-//!   across the batch. (Materialized axis *relations* are deliberately not
-//!   forced: the compiled execution paths run entirely on the structural
-//!   index and never consult them, so building them would be pure waste —
-//!   the shared-step table is where per-axis work is deduplicated instead.)
+//!
+//! Label sets need no warm-up: a step reads the tree's own
+//! [`Tree::nodes_with_label`](cqt_trees::Tree::nodes_with_label) sets, which
+//! are already in the kernels' rank space (node ids are pre-order ranks).
+//! Materialized axis *relations* are never built either: the compiled
+//! execution paths run entirely on the structural index.
 //!
 //! All per-document mutable state lives in a [`BatchScratch`], one per
 //! worker, reused across documents and batches so hot memory stays hot.
@@ -81,8 +80,6 @@ pub struct BatchPlan {
     /// [`CompiledQuery`]'s own start-set loader computes, so seeding it
     /// would be redundant work.
     seeds: Vec<Vec<(usize, usize)>>,
-    /// Union of label names across the batch, sorted and deduplicated.
-    shared_labels: Vec<String>,
     /// Hash-cons hits during construction: how many `(variable, step)`
     /// resolutions mapped onto an already-interned step.
     reused: usize,
@@ -95,7 +92,6 @@ impl BatchPlan {
         let mut table: HashMap<SharedStep, usize> = HashMap::new();
         let mut steps: Vec<SharedStep> = Vec::new();
         let mut seeds = Vec::with_capacity(queries.len());
-        let mut shared_labels: Vec<String> = Vec::new();
         let mut reused = 0usize;
 
         let mut intern = |step: SharedStep, steps: &mut Vec<SharedStep>, reused: &mut usize| {
@@ -116,7 +112,6 @@ impl BatchPlan {
             let mut labels: Vec<Vec<String>> = vec![Vec::new(); var_count];
             for atom in query.label_atoms() {
                 labels[atom.var.index()].push(atom.label.clone());
-                shared_labels.push(atom.label.clone());
             }
             for list in &mut labels {
                 list.sort_unstable();
@@ -155,12 +150,9 @@ impl BatchPlan {
             }
             seeds.push(query_seeds);
         }
-        shared_labels.sort_unstable();
-        shared_labels.dedup();
         BatchPlan {
             steps,
             seeds,
-            shared_labels,
             reused,
         }
     }
@@ -179,22 +171,6 @@ impl BatchPlan {
     /// Seed pairs recorded for query `index`.
     pub fn seed_count(&self, index: usize) -> usize {
         self.seeds[index].len()
-    }
-
-    /// The union of label names across the batch.
-    pub fn shared_labels(&self) -> &[String] {
-        &self.shared_labels
-    }
-
-    /// Forces the prepared tree's lazy rank-space label caches for the
-    /// batch's whole label union, once, up front. Returns the number of
-    /// label names touched. After `warm`, executing the batch performs no
-    /// further label-set builds on this tree.
-    pub fn warm(&self, prepared: &PreparedTree) -> usize {
-        for name in &self.shared_labels {
-            let _ = prepared.label_pre_set_by_name(name);
-        }
-        self.shared_labels.len()
     }
 
     /// Executes query `index` of the batch against `prepared`, evaluating
@@ -290,8 +266,8 @@ impl BatchPlan {
             }
         }
         for name in self.steps[id].labels.iter() {
-            match prepared.label_pre_set_by_name(name) {
-                Some(labeled) => out.intersect_with(labeled),
+            match prepared.label(name) {
+                Some(label) => out.intersect_with(prepared.nodes_with_label(label)),
                 None => out.clear(),
             }
             if out.is_empty() {
@@ -371,7 +347,7 @@ impl BatchScratch {
 
     /// Resets the per-document state for evaluating `plan` against a tree
     /// of `nodes` nodes: every shared step becomes pending again and the
-    /// step sets adopt the tree's rank space.
+    /// step sets take the tree's size.
     pub fn begin_document(&mut self, plan: &BatchPlan, nodes: usize) {
         let count = plan.steps.len();
         self.sets.resize_with(count, || NodeSet::empty(nodes));
@@ -436,7 +412,6 @@ mod tests {
     fn batched_equals_direct(queries: &[CompiledQuery], prepared: &PreparedTree) {
         let refs: Vec<&CompiledQuery> = queries.iter().collect();
         let plan = BatchPlan::new(&refs);
-        plan.warm(prepared);
         let mut batch = BatchScratch::new();
         let mut exec = ExecScratch::new();
         batch.begin_document(&plan, prepared.tree().len());
@@ -528,28 +503,6 @@ mod tests {
             plan.execute(i, query, &prepared, &mut batch);
         }
         assert_eq!(batch.step_evals(), 6);
-    }
-
-    #[test]
-    fn warm_forces_the_label_union_once() {
-        let prepared = PreparedTree::new(parse_term("A(B(C), B(C))").unwrap());
-        let queries = compile(&[
-            "Q() :- A(x), Child(x, y), B(y).",
-            "Q() :- B(x), Child(x, y), C(y).",
-        ]);
-        let refs: Vec<&CompiledQuery> = queries.iter().collect();
-        let plan = BatchPlan::new(&refs);
-        assert_eq!(plan.shared_labels(), &["A", "B", "C"]);
-        assert_eq!(plan.warm(&prepared), 3);
-        let after_warm = prepared.label_set_builds();
-        assert_eq!(after_warm, 3);
-        // Executing the whole batch builds nothing further.
-        let mut batch = BatchScratch::new();
-        batch.begin_document(&plan, prepared.tree().len());
-        for (i, query) in queries.iter().enumerate() {
-            plan.execute(i, query, &prepared, &mut batch);
-        }
-        assert_eq!(prepared.label_set_builds(), after_warm);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! Execution is `&self` (a compiled query is immutable and `Sync`, so one
 //! plan can be shared by many worker threads) and allocation-free in the
 //! steady state: all mutable state lives in a caller-provided
-//! [`ExecScratch`], one per worker. Against a
-//! [`PreparedTree`] the start candidate sets are loaded
-//! directly from the tree's cached pre-order rank-space label sets — the
-//! per-request set-up is a handful of block copies, with no raw-space
+//! [`ExecScratch`], one per worker. The start candidate sets are loaded
+//! straight from the tree's label sets (node ids are pre-order ranks, so
+//! they already are the kernels' rank-space sets) — the per-request set-up
+//! is a handful of block copies, with no
 //! [`crate::prevaluation::Prevaluation`] round-trip at all on the tractable
 //! and acyclic paths, whatever the head arity.
 
@@ -75,71 +75,37 @@ impl ExecScratch {
     }
 }
 
-/// The tree a compiled query executes against: either a plain [`Tree`]
-/// (label sets converted per request) or a [`PreparedTree`] (label sets
-/// served from the shared rank-space cache).
-#[derive(Clone, Copy)]
-pub(crate) enum Ctx<'a> {
-    Plain(&'a Tree),
-    Prepared(&'a PreparedTree),
-}
-
-impl<'a> Ctx<'a> {
-    pub(crate) fn tree(&self) -> &'a Tree {
-        match self {
-            Ctx::Plain(tree) => tree,
-            Ctx::Prepared(prepared) => prepared.tree(),
+/// Loads the start candidate sets of `query` (every node, intersected with
+/// the label sets of its unary atoms, then with any caller-provided seeds)
+/// into `ac.sets`. Returns `false` if some variable's set is already empty.
+pub(crate) fn load_start(
+    tree: &Tree,
+    query: &ConjunctiveQuery,
+    ac: &mut AcScratch,
+    seeds: &[(usize, &NodeSet)],
+) -> bool {
+    let n = tree.len();
+    let var_count = query.var_count();
+    ac.sets.resize_with(var_count, || NodeSet::empty(n));
+    for set in ac.sets[..var_count].iter_mut() {
+        if set.capacity() != n {
+            *set = NodeSet::empty(n);
+        }
+        set.clear();
+        set.insert_range(0, n);
+    }
+    for atom in query.label_atoms() {
+        let set = &mut ac.sets[atom.var.index()];
+        match tree.label(&atom.label) {
+            Some(label) => set.intersect_with(tree.nodes_with_label(label)),
+            None => set.clear(),
         }
     }
-
-    /// Intersects `set` (pre-order rank space) with the nodes carrying the
-    /// label `name`; clears it when no node carries the label.
-    fn intersect_label(&self, name: &str, set: &mut NodeSet) {
-        match self {
-            Ctx::Prepared(prepared) => match prepared.label_pre_set_by_name(name) {
-                Some(labeled) => set.intersect_with(labeled),
-                None => set.clear(),
-            },
-            Ctx::Plain(tree) => match tree.label(name) {
-                Some(label) => set.intersect_with(&tree.to_pre_space(tree.nodes_with_label(label))),
-                None => set.clear(),
-            },
-        }
+    for (var, seed) in seeds {
+        debug_assert_eq!(seed.capacity(), n, "seed sets are over this tree");
+        ac.sets[*var].intersect_with(seed);
     }
-
-    /// Loads the start candidate sets of `query` (every node, intersected
-    /// with the label sets of its unary atoms, then with any caller-provided
-    /// seeds) into `ac.sets` in pre-order rank space. Returns `false` if some
-    /// variable's set is already empty.
-    pub(crate) fn load_start(
-        &self,
-        query: &ConjunctiveQuery,
-        ac: &mut AcScratch,
-        seeds: &[(usize, &NodeSet)],
-    ) -> bool {
-        let n = self.tree().len();
-        let var_count = query.var_count();
-        ac.sets.resize_with(var_count, || NodeSet::empty(n));
-        for set in ac.sets[..var_count].iter_mut() {
-            if set.capacity() != n {
-                *set = NodeSet::empty(n);
-            }
-            set.clear();
-            set.insert_range(0, n);
-        }
-        for atom in query.label_atoms() {
-            self.intersect_label(&atom.label, &mut ac.sets[atom.var.index()]);
-        }
-        for (var, seed) in seeds {
-            debug_assert_eq!(
-                seed.capacity(),
-                n,
-                "seed sets live in this tree's rank space"
-            );
-            ac.sets[*var].intersect_with(seed);
-        }
-        ac.sets[..var_count].iter().all(|set| !set.is_empty())
-    }
+    ac.sets[..var_count].iter().all(|set| !set.is_empty())
 }
 
 /// Resolves an [`EvalStrategy`] (possibly `Auto`) against a query and its
@@ -249,7 +215,7 @@ impl CompiledQuery {
     /// Evaluates the query against a prepared tree, returning the answer in
     /// the shape matching its arity.
     pub fn execute(&self, prepared: &PreparedTree, scratch: &mut ExecScratch) -> Answer {
-        self.answer_ctx(Ctx::Prepared(prepared), scratch, &[])
+        self.answer_seeded(prepared.tree(), scratch, &[])
     }
 
     /// Evaluates the query against a prepared tree, delivering the answer to
@@ -261,7 +227,7 @@ impl CompiledQuery {
         scratch: &mut ExecScratch,
         sink: &mut AnswerSink,
     ) {
-        self.sink_ctx(Ctx::Prepared(prepared), scratch, &[], sink)
+        self.sink_seeded(prepared.tree(), scratch, &[], sink)
     }
 
     /// Evaluates the query against a prepared tree with externally computed
@@ -283,7 +249,7 @@ impl CompiledQuery {
         seeds: &[(usize, &NodeSet)],
         scratch: &mut ExecScratch,
     ) -> Answer {
-        self.answer_ctx(Ctx::Prepared(prepared), scratch, seeds)
+        self.answer_seeded(prepared.tree(), scratch, seeds)
     }
 
     /// [`CompiledQuery::execute_seeded`], delivering the answer to `sink`
@@ -295,12 +261,12 @@ impl CompiledQuery {
         scratch: &mut ExecScratch,
         sink: &mut AnswerSink,
     ) {
-        self.sink_ctx(Ctx::Prepared(prepared), scratch, seeds, sink)
+        self.sink_seeded(prepared.tree(), scratch, seeds, sink)
     }
 
     /// Evaluates the Boolean reading against a prepared tree.
     pub fn execute_boolean(&self, prepared: &PreparedTree, scratch: &mut ExecScratch) -> bool {
-        self.boolean_ctx(Ctx::Prepared(prepared), scratch, &[])
+        self.boolean_seeded(prepared.tree(), scratch, &[])
     }
 
     /// Evaluates a monadic query against a prepared tree.
@@ -308,7 +274,7 @@ impl CompiledQuery {
     /// # Panics
     /// Panics if the query is not monadic.
     pub fn execute_monadic(&self, prepared: &PreparedTree, scratch: &mut ExecScratch) -> NodeSet {
-        self.monadic_ctx(Ctx::Prepared(prepared), scratch, &[])
+        self.monadic_seeded(prepared.tree(), scratch, &[])
     }
 
     /// Returns some satisfaction against a prepared tree, if one exists.
@@ -317,7 +283,7 @@ impl CompiledQuery {
         prepared: &PreparedTree,
         scratch: &mut ExecScratch,
     ) -> Option<Valuation> {
-        self.witness_ctx(Ctx::Prepared(prepared), scratch)
+        self.witness_on(prepared.tree(), scratch)
     }
 
     /// Whether `tuple` is in the answer against a prepared tree.
@@ -330,7 +296,7 @@ impl CompiledQuery {
         tuple: &[NodeId],
         scratch: &mut ExecScratch,
     ) -> bool {
-        self.check_tuple_ctx(Ctx::Prepared(prepared), tuple, scratch)
+        self.check_tuple_on(prepared.tree(), tuple, scratch)
     }
 
     // ---- execution against a plain tree ---------------------------------
@@ -338,143 +304,16 @@ impl CompiledQuery {
     /// Evaluates the query against a plain (unprepared) tree — the path
     /// [`crate::engine::Engine`] delegates to.
     pub fn eval_on(&self, tree: &Tree, scratch: &mut ExecScratch) -> Answer {
-        self.answer_ctx(Ctx::Plain(tree), scratch, &[])
+        self.answer_seeded(tree, scratch, &[])
     }
 
     /// Evaluates the Boolean reading against a plain tree.
     pub fn eval_boolean_on(&self, tree: &Tree, scratch: &mut ExecScratch) -> bool {
-        self.boolean_ctx(Ctx::Plain(tree), scratch, &[])
+        self.boolean_seeded(tree, scratch, &[])
     }
 
     /// Returns some satisfaction against a plain tree, if one exists.
     pub fn witness_on(&self, tree: &Tree, scratch: &mut ExecScratch) -> Option<Valuation> {
-        self.witness_ctx(Ctx::Plain(tree), scratch)
-    }
-
-    /// Whether `tuple` is in the answer against a plain tree.
-    ///
-    /// # Panics
-    /// Panics if the tuple arity differs from the head arity.
-    pub fn check_tuple_on(&self, tree: &Tree, tuple: &[NodeId], scratch: &mut ExecScratch) -> bool {
-        self.check_tuple_ctx(Ctx::Plain(tree), tuple, scratch)
-    }
-
-    // ---- shared dispatch -------------------------------------------------
-
-    pub(crate) fn ensure_answer_capacity(scratch: &mut ExecScratch, n: usize) {
-        if scratch.answer.capacity() != n {
-            scratch.answer = NodeSet::empty(n);
-        }
-    }
-
-    fn boolean_ctx(
-        &self,
-        ctx: Ctx<'_>,
-        scratch: &mut ExecScratch,
-        seeds: &[(usize, &NodeSet)],
-    ) -> bool {
-        let tree = ctx.tree();
-        match self.strategy {
-            SelectedStrategy::Yannakakis => {
-                let forest = self
-                    .forest
-                    .as_ref()
-                    .expect("Yannakakis strategy requires an acyclic query");
-                if !ctx.load_start(&self.query, &mut scratch.ac, seeds) {
-                    return false;
-                }
-                Self::ensure_answer_capacity(scratch, tree.len());
-                let var_count = self.query.var_count();
-                reduce_loaded(
-                    tree,
-                    forest,
-                    &mut scratch.ac.sets[..var_count],
-                    &mut scratch.answer,
-                )
-            }
-            SelectedStrategy::XProperty => {
-                // Theorem 3.5: on a tractable signature, satisfiability is
-                // exactly non-emptiness of the arc-consistency closure.
-                assert!(
-                    self.order.is_some(),
-                    "X-property strategy requires a tractable signature"
-                );
-                if !ctx.load_start(&self.query, &mut scratch.ac, seeds) {
-                    return false;
-                }
-                propagate_loaded(tree, &self.query, &mut scratch.ac, None)
-            }
-            SelectedStrategy::Mac => {
-                MacSolver::new(tree).eval_boolean_with(&self.query, &mut scratch.ac)
-            }
-            SelectedStrategy::Naive => NaiveEvaluator::new(tree).eval_boolean(&self.query),
-        }
-    }
-
-    fn monadic_ctx(
-        &self,
-        ctx: Ctx<'_>,
-        scratch: &mut ExecScratch,
-        seeds: &[(usize, &NodeSet)],
-    ) -> NodeSet {
-        assert!(
-            self.query.is_monadic(),
-            "execute_monadic requires a unary query"
-        );
-        let tree = ctx.tree();
-        let n = tree.len();
-        let head = self.query.head()[0];
-        match self.strategy {
-            SelectedStrategy::Yannakakis => {
-                let forest = self
-                    .forest
-                    .as_ref()
-                    .expect("Yannakakis strategy requires an acyclic query");
-                if !ctx.load_start(&self.query, &mut scratch.ac, seeds) {
-                    return NodeSet::empty(n);
-                }
-                Self::ensure_answer_capacity(scratch, n);
-                let var_count = self.query.var_count();
-                if !reduce_loaded(
-                    tree,
-                    forest,
-                    &mut scratch.ac.sets[..var_count],
-                    &mut scratch.answer,
-                ) {
-                    return NodeSet::empty(n);
-                }
-                tree.from_pre_space(&scratch.ac.sets[head.index()])
-            }
-            SelectedStrategy::XProperty => self.enumerator(ctx).nodes(seeds, scratch),
-            SelectedStrategy::Mac => {
-                MacSolver::new(tree).eval_monadic_with(&self.query, &mut scratch.ac)
-            }
-            SelectedStrategy::Naive => NaiveEvaluator::new(tree).eval_monadic(&self.query),
-        }
-    }
-
-    /// The answer enumerator of the two tractable engines.
-    fn enumerator<'a>(&'a self, ctx: Ctx<'a>) -> Enumerator<'a> {
-        let fixpoint = match (self.strategy, &self.forest, self.order) {
-            (SelectedStrategy::Yannakakis, Some(forest), _) => {
-                Fixpoint::Reduce(forest, self.walk.as_ref())
-            }
-            (SelectedStrategy::Yannakakis, None, _) => {
-                panic!("Yannakakis strategy requires an acyclic query")
-            }
-            (_, _, order) => {
-                assert!(
-                    order.is_some(),
-                    "X-property strategy requires a tractable signature"
-                );
-                Fixpoint::Propagate
-            }
-        };
-        Enumerator::new(ctx, &self.query, fixpoint)
-    }
-
-    fn witness_ctx(&self, ctx: Ctx<'_>, scratch: &mut ExecScratch) -> Option<Valuation> {
-        let tree = ctx.tree();
         match self.strategy {
             SelectedStrategy::Yannakakis => YannakakisEvaluator::new(tree).witness_with_forest(
                 &self.query,
@@ -495,11 +334,14 @@ impl CompiledQuery {
         }
     }
 
-    fn check_tuple_ctx(&self, ctx: Ctx<'_>, tuple: &[NodeId], scratch: &mut ExecScratch) -> bool {
-        let tree = ctx.tree();
+    /// Whether `tuple` is in the answer against a plain tree.
+    ///
+    /// # Panics
+    /// Panics if the tuple arity differs from the head arity.
+    pub fn check_tuple_on(&self, tree: &Tree, tuple: &[NodeId], scratch: &mut ExecScratch) -> bool {
         match self.strategy {
             SelectedStrategy::Yannakakis | SelectedStrategy::XProperty => {
-                self.enumerator(ctx).check(tuple, scratch)
+                self.enumerator(tree).check(tuple, scratch)
             }
             SelectedStrategy::Mac => {
                 MacSolver::new(tree).check_tuple_with(&self.query, tuple, &mut scratch.ac)
@@ -508,30 +350,141 @@ impl CompiledQuery {
         }
     }
 
+    // ---- shared dispatch -------------------------------------------------
+
+    pub(crate) fn ensure_answer_capacity(scratch: &mut ExecScratch, n: usize) {
+        if scratch.answer.capacity() != n {
+            scratch.answer = NodeSet::empty(n);
+        }
+    }
+
+    fn boolean_seeded(
+        &self,
+        tree: &Tree,
+        scratch: &mut ExecScratch,
+        seeds: &[(usize, &NodeSet)],
+    ) -> bool {
+        match self.strategy {
+            SelectedStrategy::Yannakakis => {
+                let forest = self
+                    .forest
+                    .as_ref()
+                    .expect("Yannakakis strategy requires an acyclic query");
+                if !load_start(tree, &self.query, &mut scratch.ac, seeds) {
+                    return false;
+                }
+                Self::ensure_answer_capacity(scratch, tree.len());
+                let var_count = self.query.var_count();
+                reduce_loaded(
+                    tree,
+                    forest,
+                    &mut scratch.ac.sets[..var_count],
+                    &mut scratch.answer,
+                )
+            }
+            SelectedStrategy::XProperty => {
+                // Theorem 3.5: on a tractable signature, satisfiability is
+                // exactly non-emptiness of the arc-consistency closure.
+                assert!(
+                    self.order.is_some(),
+                    "X-property strategy requires a tractable signature"
+                );
+                if !load_start(tree, &self.query, &mut scratch.ac, seeds) {
+                    return false;
+                }
+                propagate_loaded(tree, &self.query, &mut scratch.ac, None)
+            }
+            SelectedStrategy::Mac => {
+                MacSolver::new(tree).eval_boolean_with(&self.query, &mut scratch.ac)
+            }
+            SelectedStrategy::Naive => NaiveEvaluator::new(tree).eval_boolean(&self.query),
+        }
+    }
+
+    fn monadic_seeded(
+        &self,
+        tree: &Tree,
+        scratch: &mut ExecScratch,
+        seeds: &[(usize, &NodeSet)],
+    ) -> NodeSet {
+        assert!(
+            self.query.is_monadic(),
+            "execute_monadic requires a unary query"
+        );
+        let n = tree.len();
+        let head = self.query.head()[0];
+        match self.strategy {
+            SelectedStrategy::Yannakakis => {
+                let forest = self
+                    .forest
+                    .as_ref()
+                    .expect("Yannakakis strategy requires an acyclic query");
+                if !load_start(tree, &self.query, &mut scratch.ac, seeds) {
+                    return NodeSet::empty(n);
+                }
+                Self::ensure_answer_capacity(scratch, n);
+                let var_count = self.query.var_count();
+                if !reduce_loaded(
+                    tree,
+                    forest,
+                    &mut scratch.ac.sets[..var_count],
+                    &mut scratch.answer,
+                ) {
+                    return NodeSet::empty(n);
+                }
+                scratch.ac.sets[head.index()].clone()
+            }
+            SelectedStrategy::XProperty => self.enumerator(tree).nodes(seeds, scratch),
+            SelectedStrategy::Mac => {
+                MacSolver::new(tree).eval_monadic_with(&self.query, &mut scratch.ac)
+            }
+            SelectedStrategy::Naive => NaiveEvaluator::new(tree).eval_monadic(&self.query),
+        }
+    }
+
+    /// The answer enumerator of the two tractable engines.
+    fn enumerator<'a>(&'a self, tree: &'a Tree) -> Enumerator<'a> {
+        let fixpoint = match (self.strategy, &self.forest, self.order) {
+            (SelectedStrategy::Yannakakis, Some(forest), _) => {
+                Fixpoint::Reduce(forest, self.walk.as_ref())
+            }
+            (SelectedStrategy::Yannakakis, None, _) => {
+                panic!("Yannakakis strategy requires an acyclic query")
+            }
+            (_, _, order) => {
+                assert!(
+                    order.is_some(),
+                    "X-property strategy requires a tractable signature"
+                );
+                Fixpoint::Propagate
+            }
+        };
+        Enumerator::new(tree, &self.query, fixpoint)
+    }
+
     /// Delivers the answer to `sink` tuple by tuple, in the order of the
     /// collected answer; the one dispatch behind every answer-returning
     /// entry point.
-    fn sink_ctx(
+    fn sink_seeded(
         &self,
-        ctx: Ctx<'_>,
+        tree: &Tree,
         scratch: &mut ExecScratch,
         seeds: &[(usize, &NodeSet)],
         sink: &mut AnswerSink,
     ) {
-        let tree = ctx.tree();
         match (self.query.head_arity(), self.strategy) {
             (0, _) => {
-                if self.boolean_ctx(ctx, scratch, seeds) {
+                if self.boolean_seeded(tree, scratch, seeds) {
                     sink.push(&[]);
                 }
             }
             (1, _) => {
-                for node in self.monadic_ctx(ctx, scratch, seeds).iter() {
+                for node in self.monadic_seeded(tree, scratch, seeds).iter() {
                     sink.push(&[node]);
                 }
             }
             (_, SelectedStrategy::Yannakakis | SelectedStrategy::XProperty) => self
-                .enumerator(ctx)
+                .enumerator(tree)
                 .run(seeds, None, scratch, &mut |t| sink.push(t)),
             (_, SelectedStrategy::Mac) => sink.push_answer(Answer::Tuples(
                 MacSolver::new(tree).eval_tuples_with(&self.query, usize::MAX, &mut scratch.ac),
@@ -542,14 +495,14 @@ impl CompiledQuery {
         }
     }
 
-    fn answer_ctx(
+    fn answer_seeded(
         &self,
-        ctx: Ctx<'_>,
+        tree: &Tree,
         scratch: &mut ExecScratch,
         seeds: &[(usize, &NodeSet)],
     ) -> Answer {
         let mut sink = AnswerSink::collect(self.query.head_arity());
-        self.sink_ctx(ctx, scratch, seeds, &mut sink);
+        self.sink_seeded(tree, scratch, seeds, &mut sink);
         sink.into_answer().expect("a collecting sink")
     }
 }
@@ -613,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_execution_reuses_label_cache() {
+    fn repeated_execution_is_stable() {
         let prepared = PreparedTree::new(parse_term("A(B(D), C(D, B))").unwrap());
         let plan = CompiledQuery::parse("Q(y) :- A(x), Child+(x, y), B(y).").unwrap();
         let mut scratch = ExecScratch::new();
@@ -621,9 +574,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(plan.execute(&prepared, &mut scratch), first);
         }
-        // Two labels in the query → two cached conversions, regardless of
-        // how many times the plan ran.
-        assert_eq!(prepared.label_set_builds(), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub enum SelectedStrategy {
 pub enum Answer {
     /// Answer of a Boolean (0-ary) query.
     Boolean(bool),
-    /// Answer of a monadic query: the matching nodes, sorted by raw index.
+    /// Answer of a monadic query: the matching nodes, sorted by id (document order).
     Nodes(Vec<NodeId>),
     /// Answer of a k-ary query (k ≥ 2): the matching tuples, sorted.
     Tuples(Vec<Vec<NodeId>>),

@@ -35,10 +35,10 @@
 
 use cqt_query::graph::JoinForest;
 use cqt_query::{ConjunctiveQuery, Var};
-use cqt_trees::{Axis, NodeId, NodeSet, Order, Tree};
+use cqt_trees::{Axis, NodeId, NodeSet, Tree};
 
 use crate::arc::propagate_loaded;
-use crate::compiled::{CompiledQuery, Ctx, ExecScratch};
+use crate::compiled::{load_start, CompiledQuery, ExecScratch};
 use crate::yannakakis::reduce_loaded;
 
 /// The fixpoint an engine enumerates from.
@@ -137,15 +137,15 @@ pub(crate) struct Level {
 /// A query on a tree, enumerated from one engine's fixpoint.
 #[derive(Clone, Copy)]
 pub(crate) struct Enumerator<'a> {
-    ctx: Ctx<'a>,
+    tree: &'a Tree,
     query: &'a ConjunctiveQuery,
     fixpoint: Fixpoint<'a>,
 }
 
 impl<'a> Enumerator<'a> {
-    pub(crate) fn new(ctx: Ctx<'a>, query: &'a ConjunctiveQuery, fixpoint: Fixpoint<'a>) -> Self {
+    pub(crate) fn new(tree: &'a Tree, query: &'a ConjunctiveQuery, fixpoint: Fixpoint<'a>) -> Self {
         Enumerator {
-            ctx,
+            tree,
             query,
             fixpoint,
         }
@@ -165,7 +165,7 @@ impl<'a> Enumerator<'a> {
             self.query.is_monadic(),
             "eval_monadic requires a unary query"
         );
-        let mut out = NodeSet::empty(self.ctx.tree().len());
+        let mut out = NodeSet::empty(self.tree.len());
         self.run(seeds, None, scratch, &mut |tuple| {
             out.insert(tuple[0]);
         });
@@ -199,8 +199,8 @@ impl<'a> Enumerator<'a> {
         scratch: &mut ExecScratch,
         emit: Emit,
     ) {
-        let (tree, query) = (self.ctx.tree(), self.query);
-        if !self.ctx.load_start(query, &mut scratch.ac, seeds) {
+        let (tree, query) = (self.tree, self.query);
+        if !load_start(tree, query, &mut scratch.ac, seeds) {
             return;
         }
         let reduced = match self.fixpoint {
@@ -231,29 +231,17 @@ impl<'a> Enumerator<'a> {
         let Some(&step) = steps.get(depth) else {
             return emit(&scratch.tuple);
         };
-        let tree = self.ctx.tree();
+        let tree = self.tree;
         // Moved out for the recursion and back at the end: no allocation.
         let mut level = std::mem::take(&mut scratch.levels[depth]);
         level.candidates.clear();
         let sets = &scratch.ac.sets;
         match step {
             Step::Repeat(position) => level.candidates.push(scratch.tuple[position]),
-            // Converted to raw indices as a set, so it iterates in `NodeId`
-            // order with no sort; the reducer's scratch set is free here.
-            Step::Free(var) => {
-                tree.from_pre_space_into(&sets[var.index()], &mut scratch.answer);
-                level.candidates.extend(scratch.answer.iter());
-            }
+            Step::Free(var) => level.candidates.extend(sets[var.index()].iter()),
             Step::Joined { var, from, axis } => {
-                let rank = tree.pre_rank(scratch.tuple[from]) as usize;
-                image(tree, axis, rank, &sets[var.index()], &mut level.candidates);
-                // Ranks to nodes, in `NodeId` order.
-                if !tree.pre_is_identity() {
-                    for candidate in &mut level.candidates {
-                        *candidate = tree.node_at(Order::Pre, candidate.index() as u32);
-                    }
-                    level.candidates.sort_unstable();
-                }
+                let node = scratch.tuple[from].index();
+                image(tree, axis, node, &sets[var.index()], &mut level.candidates);
             }
         }
         for &node in &level.candidates {
@@ -267,13 +255,11 @@ impl<'a> Enumerator<'a> {
     /// Enumerates the extensions of the prefix `scratch.tuple`, whose decide
     /// steps left their fixpoint in `scratch.ac.sets`.
     fn descend(self, only: Option<&[NodeId]>, scratch: &mut ExecScratch, emit: Emit) {
-        let (tree, query, depth) = (self.ctx.tree(), self.query, scratch.tuple.len());
+        let (tree, query, depth) = (self.tree, self.query, scratch.tuple.len());
         if depth == query.head_arity() {
             return emit(&scratch.tuple);
         }
         let var = query.head()[depth];
-        let pre = |node: NodeId| NodeId::from_index(tree.pre_rank(node) as usize);
-        let node_at = |rank: NodeId| tree.node_at(Order::Pre, rank.index() as u32);
         // Moved out for the recursion and back at the end: no allocation.
         let mut level = std::mem::take(&mut scratch.levels[depth]);
         let domain = &scratch.ac.sets[var.index()];
@@ -281,12 +267,9 @@ impl<'a> Enumerator<'a> {
         if let Some(fixed) = only {
             level
                 .candidates
-                .extend(Some(fixed[depth]).filter(|&n| domain.contains(pre(n))));
+                .extend(Some(fixed[depth]).filter(|&n| domain.contains(n)));
         } else {
-            level.candidates.extend(domain.iter().map(node_at));
-            if !tree.pre_is_identity() {
-                level.candidates.sort_unstable();
-            }
+            level.candidates.extend(domain.iter());
         }
         // After the full reducer the last head variable's set is exactly its
         // extensions: it needs no decide step.
@@ -300,7 +283,7 @@ impl<'a> Enumerator<'a> {
                 scratch.ac.sets[..level.sets.len()].clone_from_slice(&level.sets);
                 let fixed = &mut scratch.ac.sets[var.index()];
                 fixed.clear();
-                fixed.insert(pre(node));
+                fixed.insert(node);
                 scratch.steps += 1;
                 if !propagate_loaded(tree, query, &mut scratch.ac, Some(var)) {
                     debug_assert!(!exact, "decide failed after the full reducer");
@@ -315,11 +298,10 @@ impl<'a> Enumerator<'a> {
     }
 }
 
-/// Pushes onto `out`, in ascending rank order, the members `v` of `set`
-/// with `axis(u, v)`, where `u` is the node of pre-order rank `u`; `set` and
-/// the pushed values are in pre-order rank space. Each axis reads the
-/// rank-space index arrays: a subtree is the rank range `(u, pre_end(u)]`,
-/// the children of `u` are the sibling chain from `u + 1`.
+/// Pushes onto `out`, in ascending id order, the members `v` of `set` with
+/// `axis(u, v)`, where `u` is a node id. Each axis reads the index arrays,
+/// whose ids are pre-order ranks: a subtree is the id range
+/// `(u, pre_end(u)]`, the children of `u` are the sibling chain from `u + 1`.
 fn image(tree: &Tree, axis: Axis, u: usize, set: &NodeSet, out: &mut Vec<NodeId>) {
     let (end, parent) = (tree.pre_end_by_pre(), tree.parent_by_pre());
     let (prev, next) = (tree.prev_sibling_by_pre(), tree.next_sibling_by_pre());

@@ -22,7 +22,7 @@ use cqt_trees::{NodeId, NodeSet, Order, Tree};
 use std::fmt;
 
 use crate::arc::arc_consistent_prevaluation;
-use crate::compiled::{Ctx, ExecScratch};
+use crate::compiled::ExecScratch;
 use crate::enumerate::{Enumerator, Fixpoint};
 use crate::prevaluation::Valuation;
 use crate::tractability::{SignatureAnalysis, Tractability};
@@ -102,7 +102,7 @@ impl<'t> XPropertyEvaluator<'t> {
     }
 
     fn enumerator<'a>(&'a self, query: &'a ConjunctiveQuery) -> Enumerator<'a> {
-        Enumerator::new(Ctx::Plain(self.tree), query, Fixpoint::Propagate)
+        Enumerator::new(self.tree, query, Fixpoint::Propagate)
     }
 
     /// Checks whether `tuple` (one node per head variable, in head order) is

@@ -48,6 +48,11 @@ impl Prevaluation {
         &mut self.sets[var.index()]
     }
 
+    /// Every variable's candidate set, indexed by variable.
+    pub(crate) fn sets_mut(&mut self) -> &mut [NodeSet] {
+        &mut self.sets
+    }
+
     /// Replaces the candidate set of `var`.
     pub fn set(&mut self, var: Var, nodes: NodeSet) {
         self.sets[var.index()] = nodes;
@@ -104,7 +109,11 @@ impl Prevaluation {
         let rank = tree.rank_array(order);
         let mut assignment = Vec::with_capacity(self.sets.len());
         for set in &self.sets {
-            assignment.push(set.min_by_rank(rank)?);
+            // Without a rank array the order is pre-order: the smallest id.
+            assignment.push(match rank {
+                Some(rank) => set.min_by_rank(rank)?,
+                None => set.any_member()?,
+            });
         }
         Some(Valuation { assignment })
     }

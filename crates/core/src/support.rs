@@ -16,28 +16,27 @@
 //! # Word-parallel rank-space kernels
 //!
 //! The hot kernels ([`pre_supported_sources`] / [`pre_supported_targets`])
-//! operate on [`NodeSet`]s indexed by **pre-order rank**
-//! (see [`Tree::to_pre_space`]) and write into a caller-provided scratch set,
-//! so a revision step performs **zero allocations**. Rank space is what turns
+//! operate on [`NodeSet`]s indexed by **pre-order rank**, which is the node
+//! id on every [`Tree`], and write into a caller-provided scratch set, so a
+//! revision step performs **zero allocations**. Rank space is what turns
 //! the per-node loops of the previous implementation (kept as
 //! [`scalar`]) into blockwise `u64` operations:
 //!
-//! * a subtree is the contiguous rank interval `[pre(u), pre_end(u)]`, so the
+//! * a subtree is the contiguous rank interval `[u, pre_end(u)]`, so the
 //!   `Child+`/`Child*` image of a set is a laminar **interval fill**
 //!   ([`NodeSet::prefix_or_within_intervals`]) that touches each output block
 //!   once;
 //! * `Following` is a **rank threshold**: its support sets are a single
 //!   [`NodeSet::insert_range`] mask corrected by one ancestor chain;
 //! * ancestor and sibling closures are marked output-linearly with a
-//!   stop-on-marked walk over the rank-space parent/sibling arrays
+//!   stop-on-marked walk over the parent/sibling arrays
 //!   ([`Tree::parent_by_pre`]), never revisiting a node.
 //!
-//! The engines convert each candidate set to rank space once, run the whole
-//! fixpoint there, and convert back at the end; `cargo bench -p cqt-bench
+//! The engines run their whole fixpoint on these kernels; `cargo bench -p cqt-bench
 //! --bench semijoin_kernels` and `experiments bench --bench-json` measure the
 //! speedup over the scalar baseline (see `BENCH_2.json`).
 
-use cqt_trees::{Axis, NodeId, NodeSet, Order, Tree};
+use cqt_trees::{Axis, NodeId, NodeSet, Tree};
 
 /// Computes, **in pre-order rank space**, the set of nodes `u` such that
 /// `axis(u, v)` holds for at least one `v ∈ targets`. `out` is overwritten;
@@ -266,29 +265,21 @@ fn mark_chains(links: &[u32], set: &NodeSet, out: &mut NodeSet) {
 }
 
 /// Returns the set of nodes `u` such that `axis(u, v)` holds for at least one
-/// `v ∈ targets`, in raw-index space.
-///
-/// Convenience wrapper over [`pre_supported_sources`]: converts to rank
-/// space, runs the word-parallel kernel, converts back. Callers on a hot
-/// path should instead keep their sets in rank space and use the `pre_*`
-/// kernels with scratch buffers directly, as the arc-consistency and
-/// Yannakakis engines do.
+/// `v ∈ targets`: the allocating form of [`pre_supported_sources`]. Callers
+/// on a hot path use the kernel with a scratch set instead, as the
+/// arc-consistency and Yannakakis engines do.
 pub fn supported_sources(tree: &Tree, axis: Axis, targets: &NodeSet) -> NodeSet {
-    let mut targets_pre = NodeSet::empty(tree.len());
-    tree.to_pre_space_into(targets, &mut targets_pre);
-    let mut out_pre = NodeSet::empty(tree.len());
-    pre_supported_sources(tree, axis, &targets_pre, &mut out_pre);
-    tree.from_pre_space(&out_pre)
+    let mut out = NodeSet::empty(tree.len());
+    pre_supported_sources(tree, axis, targets, &mut out);
+    out
 }
 
 /// Returns the set of nodes `v` such that `axis(u, v)` holds for at least one
-/// `u ∈ sources`, in raw-index space. See [`supported_sources`].
+/// `u ∈ sources`. See [`supported_sources`].
 pub fn supported_targets(tree: &Tree, axis: Axis, sources: &NodeSet) -> NodeSet {
-    let mut sources_pre = NodeSet::empty(tree.len());
-    tree.to_pre_space_into(sources, &mut sources_pre);
-    let mut out_pre = NodeSet::empty(tree.len());
-    pre_supported_targets(tree, axis, &sources_pre, &mut out_pre);
-    tree.from_pre_space(&out_pre)
+    let mut out = NodeSet::empty(tree.len());
+    pre_supported_targets(tree, axis, sources, &mut out);
+    out
 }
 
 /// All nodes of a tree as a [`NodeSet`] (the initial prevaluation of an
@@ -298,7 +289,7 @@ pub fn all_nodes(tree: &Tree) -> NodeSet {
 }
 
 /// The previous generation of support primitives: per-node scalar loops over
-/// the structural index, allocating fresh `NodeSet`s, in raw-index space.
+/// the structural index, allocating fresh `NodeSet`s.
 ///
 /// Asymptotically O(n) like the rank-space kernels, but node-at-a-time and
 /// allocation-heavy; kept as the measured baseline for the
@@ -335,8 +326,7 @@ pub mod scalar {
             Axis::NextSiblingStar => sibling_support_right(tree, targets, true),
             Axis::Following => {
                 let mut out = NodeSet::empty(tree.len());
-                let max_pre = targets.iter().map(|v| tree.pre_rank(v)).max();
-                if let Some(max_pre) = max_pre {
+                if let Some(max_pre) = targets.max_member().map(|v| v.index() as u32) {
                     for u in tree.nodes() {
                         if tree.pre_end(u) < max_pre {
                             out.insert(u);
@@ -389,7 +379,7 @@ pub mod scalar {
                 let min_end = sources.iter().map(|u| tree.pre_end(u)).min();
                 if let Some(min_end) = min_end {
                     for v in tree.nodes() {
-                        if tree.pre_rank(v) > min_end {
+                        if v.index() as u32 > min_end {
                             out.insert(v);
                         }
                     }
@@ -414,18 +404,14 @@ pub mod scalar {
         let n = tree.len();
         let mut prefix = vec![0u32; n + 1];
         for v in targets.iter() {
-            prefix[tree.pre_rank(v) as usize + 1] += 1;
+            prefix[v.index() + 1] += 1;
         }
         for i in 0..n {
             prefix[i + 1] += prefix[i];
         }
         let mut out = NodeSet::empty(n);
         for u in tree.nodes() {
-            let lo = if include_self {
-                tree.pre_rank(u) as usize
-            } else {
-                tree.pre_rank(u) as usize + 1
-            };
+            let lo = u.index() + usize::from(!include_self);
             let hi = tree.pre_end(u) as usize + 1;
             if hi > lo && prefix[hi] - prefix[lo] > 0 {
                 out.insert(u);
@@ -441,7 +427,7 @@ pub mod scalar {
         // Process in pre-order: a node has a source ancestor iff its parent is
         // a source or the parent itself has one.
         let mut has_source_ancestor = vec![false; n];
-        for v in tree.nodes_in_order(Order::Pre) {
+        for v in tree.nodes() {
             let from_parent = match tree.parent(v) {
                 Some(p) => sources.contains(p) || has_source_ancestor[p.index()],
                 None => false,
@@ -655,9 +641,8 @@ mod tests {
         let tree = parse_term("A(B(D), C)").unwrap();
         let n = tree.len();
         let mut scratch = NodeSet::empty(n);
-        // Target the D node (rank space): only B supports Child into it.
-        let d = tree.nodes_with_label_name("D").any_member().unwrap();
-        let targets = tree.to_pre_space(&NodeSet::from_nodes(n, [d]));
+        // Target the D node: only B supports Child into it.
+        let targets = tree.nodes_with_label_name("D");
         let mut domain = NodeSet::full(n);
         assert!(revise_sources(
             &tree,

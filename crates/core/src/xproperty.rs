@@ -77,7 +77,8 @@ pub fn relation_x_property_violation(
 /// given `tree`. Returns the violating quadruple if not.
 pub fn x_property_violation(tree: &Tree, axis: Axis, order: Order) -> Option<XViolation> {
     let relation = MaterializedRelation::from_axis(tree, axis);
-    relation_x_property_violation(&relation, tree.rank_array(order))
+    let rank: Vec<u32> = tree.nodes().map(|v| tree.rank(order, v)).collect();
+    relation_x_property_violation(&relation, &rank)
 }
 
 /// Whether `axis` has the X̲-property with respect to `order` on `tree`.
@@ -234,7 +235,7 @@ mod tests {
         let violation = x_property_violation(&tree, Axis::Following, Order::Pre)
             .expect("Figure 3(a) must witness a violation");
         // The paper's witness: nodes 2, 3, 4, 6 (in pre-order numbering).
-        let pre = |v: NodeId| tree.pre_rank(v) + 1; // 1-based like the figure
+        let pre = |v: NodeId| tree.rank(Order::Pre, v) + 1; // 1-based like the figure
         assert!(pre(violation.n0) < pre(violation.n1));
         assert!(pre(violation.n2) < pre(violation.n3));
         // The specific quadruple (2, 3, 4, 6) is a violation; the checker may
@@ -350,7 +351,7 @@ mod tests {
         );
         for u in tree.nodes() {
             for v in tree.nodes() {
-                let le_pre = tree.pre_rank(u) <= tree.pre_rank(v);
+                let le_pre = tree.rank(Order::Pre, u) <= tree.rank(Order::Pre, v);
                 let cs = Axis::ChildStar.holds(&tree, u, v);
                 let fo = Axis::Following.holds(&tree, u, v);
                 assert_eq!(le_pre, cs || fo);

@@ -25,7 +25,7 @@ use cqt_query::{ConjunctiveQuery, PositiveQuery, Var};
 use cqt_trees::{NodeId, NodeSet, Tree};
 
 use crate::arc::initial_prevaluation;
-use crate::compiled::{Ctx, ExecScratch};
+use crate::compiled::ExecScratch;
 use crate::enumerate::{Enumerator, Fixpoint, Walk};
 use crate::prevaluation::{Prevaluation, Valuation};
 use crate::support::{revise_sources, revise_targets};
@@ -45,12 +45,11 @@ fn index_two(sets: &mut [NodeSet], support: Var, pruned: Var) -> (&NodeSet, &mut
     }
 }
 
-/// The two-pass semi-join reduction over candidate sets that are **already
-/// in pre-order rank space** (`sets[i]` is the candidate set of the variable
-/// with index `i`). Prunes in place and returns `false` iff some set became
-/// empty. Shared by [`YannakakisEvaluator::reduce`] and the compiled-query
-/// fast path, which loads the sets straight from a prepared tree's cached
-/// label sets.
+/// The two-pass semi-join reduction over the candidate sets `sets` (`sets[i]`
+/// is the candidate set of the variable with index `i`). Prunes in place and
+/// returns `false` iff some set became empty. Shared by
+/// [`YannakakisEvaluator::reduce`] and the compiled-query fast path, which
+/// loads the sets straight from the tree's label sets.
 pub(crate) fn reduce_loaded(
     tree: &Tree,
     forest: &JoinForest,
@@ -124,32 +123,15 @@ impl<'t> YannakakisEvaluator<'t> {
     /// prevaluation, or `None` if some candidate set became empty (the query
     /// is unsatisfiable within `start`).
     ///
-    /// The candidate sets are converted to pre-order rank space once, both
-    /// passes run on the word-parallel in-place kernels of [`crate::support`]
-    /// with a single scratch set (no allocation per semi-join), and the
-    /// result is converted back at the end.
-    fn reduce(
-        &self,
-        query: &ConjunctiveQuery,
-        forest: &JoinForest,
-        mut pre: Prevaluation,
-    ) -> Option<Prevaluation> {
+    /// Both passes run on the word-parallel in-place kernels of
+    /// [`crate::support`] with a single scratch set (no allocation per
+    /// semi-join).
+    fn reduce(&self, forest: &JoinForest, mut pre: Prevaluation) -> Option<Prevaluation> {
         if pre.has_empty_set() {
             return None;
         }
-        let n = self.tree.len();
-        let mut sets: Vec<NodeSet> = (0..query.var_count())
-            .map(|i| self.tree.to_pre_space(pre.get(Var::from_index(i))))
-            .collect();
-        let mut scratch = NodeSet::empty(n);
-        if !reduce_loaded(self.tree, forest, &mut sets, &mut scratch) {
-            return None;
-        }
-        for (i, set) in sets.iter().enumerate() {
-            self.tree
-                .from_pre_space_into(set, pre.get_mut(Var::from_index(i)));
-        }
-        Some(pre)
+        let mut scratch = NodeSet::empty(self.tree.len());
+        reduce_loaded(self.tree, forest, pre.sets_mut(), &mut scratch).then_some(pre)
     }
 
     /// Evaluates the Boolean reading of the acyclic query.
@@ -172,7 +154,7 @@ impl<'t> YannakakisEvaluator<'t> {
         forest: &JoinForest,
     ) -> Option<Valuation> {
         let start = initial_prevaluation(self.tree, query);
-        let pre = self.reduce(query, forest, start)?;
+        let pre = self.reduce(forest, start)?;
         let mut assignment: Vec<Option<NodeId>> = vec![None; query.var_count()];
         // Variables in join-tree components: choose the root freely, then
         // extend downward, always consistently with the already-chosen parent.
@@ -228,7 +210,7 @@ impl<'t> YannakakisEvaluator<'t> {
         let forest = query.graph().join_forest().ok_or(NotAcyclicError)?;
         let walk = Walk::plan(query, &forest);
         let fixpoint = Fixpoint::Reduce(&forest, walk.as_ref());
-        Ok(f(Enumerator::new(Ctx::Plain(self.tree), query, fixpoint)))
+        Ok(f(Enumerator::new(self.tree, query, fixpoint)))
     }
 
     /// Whether `tuple` is an answer of the acyclic k-ary query.

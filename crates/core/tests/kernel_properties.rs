@@ -1,8 +1,8 @@
 //! Property-based cross-checks for the word-parallel semijoin kernels.
 //!
 //! Every rank-space kernel (`pre_supported_sources` / `pre_supported_targets`
-//! via the id-space wrappers), the retained scalar baseline, and the
-//! pre-order-space set conversions are checked against the brute-force
+//! via the allocating wrappers) and the retained scalar baseline are
+//! checked against the brute-force
 //! `support::reference` enumeration on arbitrary trees (up to 300 nodes),
 //! all 15 axes, and candidate sets of arbitrary density.
 
@@ -88,28 +88,5 @@ proptest! {
                 "scalar targets mismatch for {}", axis
             );
         }
-    }
-
-    /// Pre-order rank space and id space round-trip without losing or
-    /// inventing members, in both directions.
-    #[test]
-    fn pre_space_round_trip_preserves_membership(
-        tree in arb_tree(300),
-        seed in 0u64..1 << 48,
-        density in 0u8..=100,
-    ) {
-        let set = random_subset(seed, tree.len(), density);
-        let pre = tree.to_pre_space(&set);
-        prop_assert_eq!(pre.len(), set.len());
-        for node in tree.nodes() {
-            prop_assert_eq!(
-                pre.contains(NodeId::from_index(tree.pre_rank(node) as usize)),
-                set.contains(node)
-            );
-        }
-        prop_assert_eq!(&tree.from_pre_space(&pre), &set);
-        // The reverse direction: treat `set` as a rank-space set.
-        let ids = tree.from_pre_space(&set);
-        prop_assert_eq!(&tree.to_pre_space(&ids), &set);
     }
 }

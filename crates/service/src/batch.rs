@@ -28,10 +28,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cqt_core::{Answer, AnswerSink, BatchPlan, BatchScratch};
-use cqt_trees::NodeId;
 
 use crate::index::LabelIndex;
-use crate::plan::{Plan, PlanCache, PlanKey, PlanOptions};
+use crate::plan::{union_of_disjuncts, Plan, PlanCache, PlanKey, PlanOptions};
 use crate::runner::{serve_document, PruneCheck};
 use crate::shard::{DocId, Document, FanOut};
 use crate::stats::PruneStats;
@@ -296,7 +295,6 @@ impl PreparedBatch {
     ) -> u64 {
         let snapshot = document.handle().snapshot();
         scratch.begin_document(&self.batch_plan, snapshot.prepared.tree().len());
-        self.batch_plan.warm(&snapshot.prepared);
         let summary = snapshot.prepared.doc_summary();
         let mut executions = 0u64;
         for (u, (plan, sink)) in self.plans.iter().zip(sinks).enumerate() {
@@ -315,7 +313,7 @@ impl PreparedBatch {
     }
 
     /// Executes distinct plan `u` through the shared-step table into `sink`,
-    /// unioning its disjuncts in exactly the shapes [`Plan::execute`] uses —
+    /// unioning its disjuncts with the union [`Plan::execute`] uses —
     /// answer equality with the one-at-a-time path is what the differential
     /// suite checks.
     fn execute_unique(
@@ -333,47 +331,14 @@ impl PreparedBatch {
                 .batch_plan
                 .execute_into(base, disjunct, prepared, scratch, sink);
         }
-        let union = match plan.head_arity() {
-            0 => {
-                let mut found = false;
-                for (k, disjunct) in disjuncts.iter().enumerate() {
-                    if self
-                        .batch_plan
-                        .execute(base + k, disjunct, prepared, scratch)
-                        == Answer::Boolean(true)
-                    {
-                        found = true;
-                        break;
-                    }
-                }
-                Answer::Boolean(found)
-            }
-            1 => {
-                let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
-                for (k, disjunct) in disjuncts.iter().enumerate() {
-                    if let Answer::Nodes(more) =
-                        self.batch_plan
-                            .execute(base + k, disjunct, prepared, scratch)
-                    {
-                        nodes.extend(more);
-                    }
-                }
-                Answer::Nodes(nodes.into_iter().collect())
-            }
-            _ => {
-                let mut tuples: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-                for (k, disjunct) in disjuncts.iter().enumerate() {
-                    if let Answer::Tuples(more) =
-                        self.batch_plan
-                            .execute(base + k, disjunct, prepared, scratch)
-                    {
-                        tuples.extend(more);
-                    }
-                }
-                Answer::Tuples(tuples.into_iter().collect())
-            }
-        };
-        sink.push_answer(union);
+        sink.push_answer(union_of_disjuncts(
+            plan.head_arity(),
+            disjuncts.len(),
+            |k| {
+                self.batch_plan
+                    .execute(base + k, &disjuncts[k], prepared, scratch)
+            },
+        ));
     }
 }
 

@@ -10,8 +10,8 @@
 //!   single time; the [`PlanCache`] memoizes plans under a signature +
 //!   structure key with hit/miss/analysis counters;
 //! * **prepare documents once** — trees enter the workload as
-//!   [`cqt_trees::PreparedTree`]s, whose materialized axis relations and
-//!   rank-space label sets are built lazily and shared across threads;
+//!   [`cqt_trees::PreparedTree`]s, whose materialized axis relations are
+//!   built lazily and shared across threads;
 //! * **execute many times, in parallel** — a [`ServiceRunner`] shards the
 //!   requests of a workload over a fixed pool of OS threads, and every
 //!   scatter path (in-process runs, batches, the TCP front end) serves each

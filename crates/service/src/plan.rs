@@ -21,7 +21,7 @@ use cqt_core::{
 };
 use cqt_query::ConjunctiveQuery;
 use cqt_rewrite::rewrite::{rewrite_to_apq_with, RewriteOptions};
-use cqt_trees::{Axis, DocSummary, NodeId, NodeSet, PreparedTree};
+use cqt_trees::{Axis, DocSummary, PreparedTree};
 use cqt_xpath::CompiledXPath;
 use rustc_hash::{FxHashMap, FxHasher};
 
@@ -344,29 +344,9 @@ impl Plan {
         if let [disjunct] = self.disjuncts.as_slice() {
             return disjunct.execute(prepared, scratch);
         }
-        match self.head_arity {
-            0 => Answer::Boolean(
-                self.disjuncts
-                    .iter()
-                    .any(|plan| plan.execute_boolean(prepared, scratch)),
-            ),
-            1 => {
-                let mut nodes = NodeSet::empty(prepared.tree().len());
-                for plan in &self.disjuncts {
-                    nodes.union_with(&plan.execute_monadic(prepared, scratch));
-                }
-                Answer::Nodes(nodes.iter().collect())
-            }
-            _ => {
-                let mut tuples: std::collections::BTreeSet<Vec<NodeId>> = Default::default();
-                for plan in &self.disjuncts {
-                    if let Answer::Tuples(more) = plan.execute(prepared, scratch) {
-                        tuples.extend(more);
-                    }
-                }
-                Answer::Tuples(tuples.into_iter().collect())
-            }
-        }
+        union_of_disjuncts(self.head_arity, self.disjuncts.len(), |k| {
+            self.disjuncts[k].execute(prepared, scratch)
+        })
     }
 
     /// Executes the plan against a prepared tree, delivering the answer of
@@ -382,6 +362,38 @@ impl Plan {
             [disjunct] => disjunct.execute_into(prepared, scratch, sink),
             _ => sink.push_answer(self.execute(prepared, scratch)),
         }
+    }
+}
+
+/// The union of a plan's disjunct answers, in the shape of a head of arity
+/// `head_arity`: `answer(k)` is the answer of disjunct `k` of `disjuncts`.
+/// A Boolean head stops at the first satisfied disjunct; nodes and tuples
+/// come out sorted and duplicate-free. The one definition of the union,
+/// shared by [`Plan::execute`] and the batch executor.
+pub(crate) fn union_of_disjuncts(
+    head_arity: usize,
+    disjuncts: usize,
+    mut answer: impl FnMut(usize) -> Answer,
+) -> Answer {
+    if head_arity == 0 {
+        return Answer::Boolean((0..disjuncts).any(|k| answer(k) == Answer::Boolean(true)));
+    }
+    let (mut nodes, mut tuples) = (Vec::new(), Vec::new());
+    for k in 0..disjuncts {
+        match answer(k) {
+            Answer::Nodes(more) => nodes.extend(more),
+            Answer::Tuples(more) => tuples.extend(more),
+            Answer::Boolean(_) => {}
+        }
+    }
+    if head_arity == 1 {
+        nodes.sort_unstable();
+        nodes.dedup();
+        Answer::Nodes(nodes)
+    } else {
+        tuples.sort_unstable();
+        tuples.dedup();
+        Answer::Tuples(tuples)
     }
 }
 

@@ -394,7 +394,7 @@ impl CorpusMutationReport {
         self.commits
             .values()
             .flatten()
-            .map(|c| c.carried_relations + c.carried_label_sets)
+            .map(|c| c.carried_relations)
             .sum()
     }
 

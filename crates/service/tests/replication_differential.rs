@@ -19,6 +19,11 @@
 //! commits, removals and leader restarts, and after every step requires a
 //! replica fed from the leader's directory and a replica fed over TCP to
 //! agree with each other, with the leader and with an independent model.
+//! Agreement is checked on digests *and* on answers: a monadic and a k-ary
+//! query must name the same nodes on the model tree, the leader, both
+//! replicas and a corpus recovered from a copy of the leader's directory.
+//! The inserted trees come from `random_tree`, whose builder adds nodes out
+//! of pre-order, so a copy that numbered its nodes differently would show.
 //! `transport_parity_deep_sweep` repeats it over 200 schedules; run it in
 //! release mode with `cargo test --release -p cqt-service --test
 //! replication_differential -- --include-ignored`.
@@ -32,13 +37,17 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use cqt_core::{Answer, ExecScratch};
 use cqt_service::net::frame::{write_frame, FRAME_HEADER_LEN};
 use cqt_service::net::{
     NetServer, NetServerConfig, Request, Response, WireFanOut, WireLang, WirePosition, WireQuery,
 };
-use cqt_service::{durable_positions, Corpus, Durability, PromoteError, ReplicaFollower};
+use cqt_service::{
+    durable_positions, Corpus, DocId, Durability, Plan, PlanOptions, PromoteError, QuerySpec,
+    ReplicaFollower,
+};
 use cqt_trees::generate::{random_edit_script, random_tree, EditScriptConfig, RandomTreeConfig};
-use cqt_trees::Tree;
+use cqt_trees::{NodeId, PreparedTree, Tree, TreeBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -478,6 +487,100 @@ fn promote_is_digest_gated_and_serves_oracle_checked_reads() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The monadic and the k-ary query every copy of a document must answer
+/// node for node alike.
+fn parity_plans() -> Vec<Plan> {
+    [
+        "Q(y) :- A(x), Child+(x, y), B(y).",
+        "Q(x, y) :- Child(x, y), C(y).",
+    ]
+    .iter()
+    .map(|text| Plan::compile(&QuerySpec::parse_cq(text).unwrap(), &PlanOptions::default()).0)
+    .collect()
+}
+
+fn answers(plans: &[Plan], prepared: &PreparedTree) -> Vec<Answer> {
+    let mut scratch = ExecScratch::new();
+    plans
+        .iter()
+        .map(|plan| plan.execute(prepared, &mut scratch))
+        .collect()
+}
+
+/// A corpus recovered from a copy of the durable directory `dir`, so the
+/// live leader's logs are left alone.
+fn reopened_copy(dir: &std::path::Path, copy: &std::path::Path, snapshot_every: u64) -> Corpus {
+    fn copy_tree(from: &std::path::Path, to: &std::path::Path) {
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let target = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_tree(&entry.path(), &target);
+            } else {
+                fs::copy(entry.path(), target).unwrap();
+            }
+        }
+    }
+    let _ = fs::remove_dir_all(copy);
+    copy_tree(dir, copy);
+    Corpus::open_durable(
+        2,
+        Durability::Wal {
+            dir: copy.to_path_buf(),
+            snapshot_every,
+        },
+    )
+    .unwrap()
+    .0
+}
+
+/// Root `A` with children `B` and `X` and a `C` under `B`, added
+/// breadth-first: the builder's handle for `C` is 3, its pre-order rank 2.
+#[test]
+fn leader_recovered_and_replicas_answer_with_the_same_ids() {
+    let dir = temp_dir("same-ids", 0);
+    let mut builder = TreeBuilder::new();
+    let a = builder.add_root(&["A"]);
+    let b = builder.add_child(a, &["B"]);
+    builder.add_child(a, &["X"]);
+    builder.add_child(b, &["C"]);
+    let tree = builder.build().unwrap();
+    let plans = vec![
+        Plan::compile(
+            &QuerySpec::parse_cq("Q(y) :- C(y).").unwrap(),
+            &PlanOptions::default(),
+        )
+        .0,
+    ];
+    let expected = vec![Answer::Nodes(vec![NodeId::from_index(2)])];
+
+    let plain = Corpus::new(2);
+    plain.insert("doc", tree.clone()).unwrap();
+    let leader = open_leader(&dir, 0);
+    leader.corpus.insert("doc", tree).unwrap();
+    let local = ReplicaFollower::local(&dir, 2);
+    local.sync().unwrap();
+    let tcp = ReplicaFollower::new(leader.server.addr(), 2);
+    tcp.sync().unwrap();
+    let copy = temp_dir("same-ids-copy", 0);
+    let reopened = reopened_copy(&dir, &copy, 0);
+    let id = DocId::new("doc");
+    for (name, corpus) in [
+        ("in-memory", &plain),
+        ("leader", &*leader.corpus),
+        ("recovered", &reopened),
+        ("local replica", &*local.corpus()),
+        ("tcp replica", &*tcp.corpus()),
+    ] {
+        let snapshot = corpus.snapshot(&id).unwrap();
+        assert_eq!(answers(&plans, &snapshot.prepared), expected, "{name}");
+    }
+    leader.stop();
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&copy);
+}
+
 /// One leader lifetime of the transport-parity schedule: its corpus and
 /// the server in front of it.
 struct Leader {
@@ -510,9 +613,13 @@ impl Leader {
 /// document, 1 inserts one with a routing tag, 2 and 3 commit a random
 /// script to the picked document, 4 removes it, and 5 restarts the leader
 /// from its directory. After every step both replicas sync and must
-/// equal the model, `durable_positions` and the leader's own digests.
+/// equal the model, `durable_positions` and the leader's own digests, and
+/// every document must answer [`parity_plans`] alike on the model tree,
+/// the leader, both replicas and a recovered copy of the directory.
 fn transport_parity(seed: u64, snapshot_every: u64, steps: &[(u8, usize)]) {
     let dir = temp_dir("parity", seed ^ snapshot_every);
+    let copy = temp_dir("parity-copy", seed ^ snapshot_every);
+    let plans = parity_plans();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut leader = open_leader(&dir, snapshot_every);
     let local = ReplicaFollower::local(&dir, 2);
@@ -623,8 +730,28 @@ fn transport_parity(seed: u64, snapshot_every: u64, steps: &[(u8, usize)]) {
                 );
             }
         }
+        let reopened = reopened_copy(&dir, &copy, snapshot_every);
+        let (local_corpus, tcp_corpus) = (local.corpus(), tcp.corpus());
+        for (doc_id, tree) in &trees {
+            let id = doc_id.as_str().into();
+            let expected = answers(&plans, &PreparedTree::new(tree.clone()));
+            for (name, corpus) in [
+                ("leader", &*leader.corpus),
+                ("local", &*local_corpus),
+                ("tcp", &*tcp_corpus),
+                ("recovered", &reopened),
+            ] {
+                let snapshot = corpus.snapshot(&id).unwrap();
+                assert_eq!(
+                    answers(&plans, &snapshot.prepared),
+                    expected,
+                    "step {index}: {name} {doc_id} answers"
+                );
+            }
+        }
     }
     leader.stop();
+    let _ = fs::remove_dir_all(&copy);
     let durable = durable_positions(&dir).unwrap();
     for replica in [local, tcp] {
         let promoted = replica.promote(&durable).unwrap();

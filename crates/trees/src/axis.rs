@@ -27,7 +27,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::node::NodeId;
-use crate::order::Order;
 use crate::tree::Tree;
 
 /// A binary structure relation over tree nodes.
@@ -335,7 +334,7 @@ impl Axis {
             Axis::NextSiblingStar => {
                 u == v || (tree.are_siblings(u, v) && tree.sibling_rank(u) < tree.sibling_rank(v))
             }
-            Axis::Following => tree.pre_rank(v) > tree.pre_end(u),
+            Axis::Following => v.index() > tree.pre_end(u) as usize,
             Axis::SelfAxis => u == v,
             // Inverses delegate to the forward direction.
             Axis::Parent
@@ -375,10 +374,8 @@ impl Axis {
                 out
             }
             Axis::Following => {
-                let start = tree.pre_end(u) + 1;
-                (start..tree.len() as u32)
-                    .map(|r| tree.node_at(Order::Pre, r))
-                    .collect()
+                let start = tree.pre_end(u) as usize + 1;
+                (start..tree.len()).map(NodeId::from_index).collect()
             }
             Axis::Parent => tree.parent(u).into_iter().collect(),
             Axis::AncestorPlus => tree.ancestors(u).collect(),
@@ -520,14 +517,16 @@ mod tests {
     ///     / \     \
     ///    d   e     f
     /// ```
+    ///
+    /// Built in pre-order, so the builder's handles are the tree's ids.
     fn sample() -> (Tree, [NodeId; 7]) {
         let mut builder = TreeBuilder::new();
         let r = builder.add_root(&["R"]);
         let a = builder.add_child(r, &["A"]);
-        let b = builder.add_child(r, &["B"]);
-        let c = builder.add_child(r, &["C"]);
         let d = builder.add_child(a, &["D"]);
         let e = builder.add_child(a, &["E"]);
+        let b = builder.add_child(r, &["B"]);
+        let c = builder.add_child(r, &["C"]);
         let f = builder.add_child(c, &["F"]);
         (builder.build().unwrap(), [r, a, b, c, d, e, f])
     }

@@ -5,12 +5,10 @@
 //! variable to such a set; arc-consistency pruning and the minimum-valuation
 //! extraction of Lemma 3.4 operate directly on them.
 //!
-//! A `NodeSet` is agnostic about *which* index space its bits live in: the
-//! evaluators use both raw-node-index sets and **pre-order rank space** sets
-//! (bit `i` = the node with pre-order rank `i`, see
-//! [`Tree::to_pre_space`](crate::Tree::to_pre_space)). Rank space is what
-//! makes the word-parallel semijoin kernels possible: a subtree is a
-//! *contiguous bit range* `[pre(u), pre_end(u)]`, so descendant closures are
+//! Bit `i` is the node with id `i`, which is also the node of pre-order rank
+//! `i` (ids are pre-order ranks on every [`Tree`](crate::Tree)). That is
+//! what makes the word-parallel semijoin kernels possible: a subtree is a
+//! *contiguous bit range* `[u, pre_end(u)]`, so descendant closures are
 //! blockwise interval fills ([`NodeSet::prefix_or_within_intervals`]) and the
 //! `Following` axis reduces to a rank-threshold mask
 //! ([`NodeSet::insert_range`] / [`NodeSet::range_mask`]). The hot kernels
@@ -358,7 +356,7 @@ impl NodeSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Iterates over the members in increasing raw-index order.
+    /// Iterates over the members in increasing id order.
     pub fn iter(&self) -> NodeSetIter<'_> {
         NodeSetIter {
             set: self,
@@ -367,7 +365,7 @@ impl NodeSet {
         }
     }
 
-    /// Returns an arbitrary member (the one with the smallest raw index).
+    /// Returns an arbitrary member (the one with the smallest id).
     pub fn any_member(&self) -> Option<NodeId> {
         self.iter().next()
     }

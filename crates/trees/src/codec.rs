@@ -21,7 +21,8 @@
 //! left-to-right order within pre-order, so decoding can rebuild the tree
 //! with a [`TreeBuilder`] by appending each node under its
 //! already-decoded parent — the result is the same ordered labeled tree,
-//! with `pre_is_identity()` normalized to `true`. Round-tripping preserves
+//! with the same node ids (ids are pre-order ranks on every tree, see
+//! [`crate::tree`]). Round-tripping preserves
 //! [`Tree::structure_digest`] (the digest is isomorphism-invariant), which
 //! is exactly the property the durability layer's digest chains rely on.
 //!
@@ -32,7 +33,7 @@
 use std::fmt;
 
 use crate::edit::{EditScript, TreeEdit};
-use crate::order::Order;
+use crate::node::NodeId;
 use crate::tree::{Tree, TreeBuilder};
 
 /// Why a byte payload could not be decoded.
@@ -150,9 +151,9 @@ impl<'a> Reader<'a> {
 /// for the layout).
 pub fn encode_tree(tree: &Tree, out: &mut Vec<u8>) {
     put_u32(out, tree.len() as u32);
-    for node in tree.nodes_in_order(Order::Pre) {
+    for node in tree.nodes() {
         let parent_plus_1 = match tree.parent(node) {
-            Some(parent) => tree.pre_rank(parent) + 1,
+            Some(parent) => parent.index() as u32 + 1,
             None => 0,
         };
         put_u32(out, parent_plus_1);
@@ -178,7 +179,6 @@ pub fn decode_tree_from(r: &mut Reader<'_>) -> Result<Tree, CodecError> {
         return Err(CodecError::BadValue("tree node count"));
     }
     let mut builder = TreeBuilder::new();
-    let mut by_pre = Vec::with_capacity(nodes);
     for pre in 0..nodes {
         let parent_plus_1 = r.u32()? as usize;
         let label_count = r.u32()? as usize;
@@ -187,18 +187,18 @@ pub fn decode_tree_from(r: &mut Reader<'_>) -> Result<Tree, CodecError> {
             labels.push(r.string()?);
         }
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-        let node = if parent_plus_1 == 0 {
+        if parent_plus_1 == 0 {
             if pre != 0 {
                 return Err(CodecError::BadValue("non-first root node"));
             }
-            builder.add_root(&label_refs)
+            builder.add_root(&label_refs);
         } else {
             if parent_plus_1 > pre {
                 return Err(CodecError::BadValue("parent pre-order rank"));
             }
-            builder.add_child(by_pre[parent_plus_1 - 1], &label_refs)
-        };
-        by_pre.push(node);
+            // Handle `i` is the `i`-th decoded node.
+            builder.add_child(NodeId::from_index(parent_plus_1 - 1), &label_refs);
+        }
     }
     builder
         .build()
@@ -327,7 +327,11 @@ mod tests {
             let decoded = tree_from_bytes(&tree_to_bytes(&tree)).unwrap();
             assert_eq!(decoded.structure_digest(), tree.structure_digest());
             assert_eq!(to_term(&decoded), to_term(&tree));
-            assert!(decoded.pre_is_identity());
+            // Ids survive the round trip: both sides number in pre-order.
+            for node in tree.nodes() {
+                assert_eq!(decoded.parent(node), tree.parent(node));
+                assert_eq!(decoded.label_names(node), tree.label_names(node));
+            }
         }
     }
 
@@ -343,9 +347,7 @@ mod tests {
         let (edited, _) = script.apply_to(&tree).unwrap();
         let decoded = tree_from_bytes(&tree_to_bytes(&edited)).unwrap();
         assert_eq!(decoded.structure_digest(), edited.structure_digest());
-        assert!(decoded
-            .label_names(decoded.node_at(Order::Pre, 2))
-            .is_empty());
+        assert!(decoded.label_names(NodeId::from_index(2)).is_empty());
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //!
 //! # Addressing
 //!
-//! Edits address nodes by **pre-order rank** in the tree they apply to, not
-//! by raw [`NodeId`]: structural edits renumber the arena (the edited tree
-//! comes out with `pre_is_identity() == true`), so pre-order rank is the only
-//! stable, content-derived address across a script. Within a script, each
-//! edit addresses the tree produced by the edits before it.
+//! Edits address nodes by **pre-order rank** in the tree they apply to,
+//! which is the node's [`NodeId`] (ids are pre-order ranks on every tree).
+//! A structural edit shifts the ranks after it, so within a script each edit
+//! addresses the tree produced by the edits before it.
 //!
 //! # Invalidation contract
 //!
@@ -24,8 +23,7 @@
 //! * a **relabel-only** script ([`EditSummary::structure_changed`] is false)
 //!   provably preserves every structural index array — the edited tree shares
 //!   them verbatim with its predecessor — so materialized **axis relations
-//!   remain valid** and are carried forward, and the pre-order rank-space set
-//!   of every label *not* in [`EditSummary::touched_labels`] is carried too;
+//!   remain valid** and are carried forward;
 //! * any insert or delete shifts pre-order ranks, so **nothing** derived from
 //!   node identity survives: all caches must be rebuilt for the new epoch.
 //!
@@ -57,7 +55,6 @@ use std::fmt;
 
 use crate::label::Label;
 use crate::node::NodeId;
-use crate::order::Order;
 use crate::tree::{index_tree, Tree};
 
 /// Errors produced when validating or applying a [`TreeEdit`].
@@ -283,7 +280,7 @@ impl EditSummary {
 fn apply_one(tree: &Tree, edit: &TreeEdit, summary: &mut EditSummary) -> Result<Tree, EditError> {
     let check_pre = |pre: u32| {
         if (pre as usize) < tree.len() {
-            Ok(tree.node_at(Order::Pre, pre))
+            Ok(NodeId::from_index(pre as usize))
         } else {
             Err(EditError::NodeOutOfRange {
                 pre,
@@ -357,7 +354,7 @@ fn insert_subtree(tree: &Tree, parent: NodeId, position: usize, subtree: &Tree) 
     let mut parent_of: Vec<Option<NodeId>> = tree.nodes().map(|v| tree.parent(v)).collect();
     let mut children: Vec<Vec<NodeId>> = tree.nodes().map(|v| tree.children(v).to_vec()).collect();
     // Append the grafted nodes after the existing arena, re-interning their
-    // labels into the host alphabet; ids are compacted by the renumber pass.
+    // labels into the host alphabet; indexing renumbers them in pre-order.
     let map = |sub: NodeId| NodeId::from_index(n + sub.index());
     for node in subtree.nodes() {
         let mut syms: Vec<Label> = subtree
@@ -375,11 +372,11 @@ fn insert_subtree(tree: &Tree, parent: NodeId, position: usize, subtree: &Tree) 
         children.push(subtree.children(node).iter().map(|&c| map(c)).collect());
     }
     children[parent.index()].insert(position, map(subtree.root()));
-    renumber_and_index(interner, labels, parent_of, children, tree.root())
+    index_tree(interner, labels, parent_of, children).expect("edited tree is single-rooted")
 }
 
-/// Unlinks the subtree of `node` and re-indexes (the dead nodes are dropped
-/// by the renumber pass, which only walks from the root).
+/// Unlinks the subtree of `node` and re-indexes (indexing drops the dead
+/// nodes, since it only walks from the root).
 fn delete_subtree(tree: &Tree, node: NodeId) -> Tree {
     let interner = tree.interner().clone();
     let labels: Vec<Vec<Label>> = tree.nodes().map(|v| tree.labels(v).to_vec()).collect();
@@ -387,45 +384,7 @@ fn delete_subtree(tree: &Tree, node: NodeId) -> Tree {
     let mut children: Vec<Vec<NodeId>> = tree.nodes().map(|v| tree.children(v).to_vec()).collect();
     let parent = tree.parent(node).expect("delete target is not the root");
     children[parent.index()].retain(|&c| c != node);
-    renumber_and_index(interner, labels, parent_of, children, tree.root())
-}
-
-/// Renumbers the (possibly sparse) working arena densely in DFS pre-order
-/// and recomputes the full structural index through the same
-/// [`index_tree`] routine [`crate::TreeBuilder::build`] uses. Edited trees
-/// therefore always come out with `pre_is_identity() == true`.
-fn renumber_and_index(
-    interner: crate::label::LabelInterner,
-    mut labels: Vec<Vec<Label>>,
-    parent_of: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
-    root: NodeId,
-) -> Tree {
-    let mut new_id = vec![usize::MAX; labels.len()];
-    let mut order: Vec<NodeId> = Vec::new();
-    let mut stack = vec![root];
-    while let Some(node) = stack.pop() {
-        new_id[node.index()] = order.len();
-        order.push(node);
-        for &child in children[node.index()].iter().rev() {
-            stack.push(child);
-        }
-    }
-    let mut new_labels = Vec::with_capacity(order.len());
-    let mut new_parent = Vec::with_capacity(order.len());
-    let mut new_children = Vec::with_capacity(order.len());
-    for &node in &order {
-        new_labels.push(std::mem::take(&mut labels[node.index()]));
-        new_parent.push(parent_of[node.index()].map(|p| NodeId::from_index(new_id[p.index()])));
-        new_children.push(
-            children[node.index()]
-                .iter()
-                .map(|&c| NodeId::from_index(new_id[c.index()]))
-                .collect(),
-        );
-    }
-    index_tree(interner, new_labels, new_parent, new_children)
-        .expect("edited tree is non-empty and single-rooted")
+    index_tree(interner, labels, parent_of, children).expect("edited tree is single-rooted")
 }
 
 #[cfg(test)]
@@ -453,7 +412,6 @@ mod tests {
         assert_eq!(summary.inserted_nodes, 2);
         assert!(summary.touches_label("B") && summary.touches_label("X"));
         assert!(!summary.touches_label("A"));
-        assert!(t.pre_is_identity());
     }
 
     #[test]
@@ -502,7 +460,7 @@ mod tests {
                 labels: vec![],
             },
         );
-        assert!(t.labels(t.node_at(Order::Pre, 1)).is_empty());
+        assert!(t.labels(NodeId::from_index(1)).is_empty());
         assert_eq!(summary.touched_labels, BTreeSet::from(["A".to_string()]));
         assert!(t.nodes_with_label_name("A").is_empty());
         // The symbol survives in the interner even with an empty extent.

@@ -10,10 +10,10 @@ use serde::{Deserialize, Serialize};
 
 /// Identifier of a node within a [`Tree`](crate::Tree).
 ///
-/// `NodeId`s are dense indices assigned in construction order by
-/// [`TreeBuilder`](crate::TreeBuilder). They are `Copy`, cheap to hash, and
-/// ordered by their raw index (which is *not* any of the traversal orders —
-/// use [`Order`](crate::Order) for those).
+/// A built tree's `NodeId`s are its nodes' pre-order ranks (see
+/// [`TreeBuilder::build`](crate::TreeBuilder::build)), so ordering ids is
+/// ordering nodes in document order; use [`Order`](crate::Order) for the
+/// other traversal orders. They are `Copy` and cheap to hash.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub(crate) u32);
 

@@ -10,18 +10,18 @@
 //!   baseline and the X̲-property checker. Building one is O(output) — up to
 //!   quadratic for the closure axes — so re-deriving it per query dwarfs the
 //!   query itself on repeated workloads;
-//! * **pre-order rank-space label sets**: the per-label [`NodeSet`]s of the
-//!   tree converted into the rank space the word-parallel semijoin kernels
-//!   operate in. Every evaluation starts by intersecting candidate sets with
-//!   label sets, so caching the converted sets makes the start-up of each
-//!   request a handful of `memcpy`s.
+//! * the **document summary** ([`DocSummary`]) read by corpus-level pruning.
 //!
-//! A [`PreparedTree`] owns the tree and builds both caches **lazily** behind
+//! Label sets need no cache: node ids are pre-order ranks, so the tree's own
+//! [`Tree::nodes_with_label`] sets already are the rank-space sets the
+//! semijoin kernels start from.
+//!
+//! A [`PreparedTree`] owns the tree and builds its caches **lazily** behind
 //! [`std::sync::OnceLock`]s, so it is `Sync`: a corpus of `Arc<PreparedTree>`s
 //! can be shared across worker threads and whichever thread first needs an
 //! artifact builds it exactly once. Build counters are exposed so tests (and
 //! the serving harness) can assert that repeated queries do not re-derive
-//! axes or label sets.
+//! axes.
 
 use std::collections::BTreeSet;
 use std::ops::Deref;
@@ -29,9 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::axis::Axis;
-use crate::bitset::NodeSet;
 use crate::edit::EditSummary;
-use crate::label::Label;
 use crate::relation::MaterializedRelation;
 use crate::tree::Tree;
 
@@ -149,7 +147,7 @@ impl DocSummary {
 }
 
 /// A [`Tree`] plus lazily-built, thread-shared caches of derived artifacts
-/// (materialized axis relations, rank-space label sets).
+/// (materialized axis relations, the document summary).
 ///
 /// Dereferences to [`Tree`], so every structural accessor is available
 /// directly. Construction computes a cheap *structure hash* over the tree's
@@ -164,11 +162,6 @@ pub struct PreparedTree {
     relations: Vec<OnceLock<Arc<MaterializedRelation>>>,
     /// Number of relations actually built (cache misses).
     relation_builds: AtomicU64,
-    /// One lazily-built pre-order rank-space node set per interned label,
-    /// indexed by [`Label::index`].
-    label_pre_sets: Vec<OnceLock<NodeSet>>,
-    /// Number of label sets actually converted (cache misses).
-    label_set_builds: AtomicU64,
     /// Lazily-built document summary for corpus-level pruning.
     summary: OnceLock<DocSummary>,
     /// Number of summaries actually computed from scratch (cache misses).
@@ -176,8 +169,6 @@ pub struct PreparedTree {
     /// Axis relations adopted from a previous epoch by
     /// [`PreparedTree::prepare_edited`] instead of being re-derived.
     carried_relations: u64,
-    /// Label sets adopted from a previous epoch.
-    carried_label_sets: u64,
     structure_hash: u64,
 }
 
@@ -186,17 +177,13 @@ impl PreparedTree {
     /// each is derived on first use.
     pub fn new(tree: Tree) -> Self {
         let structure_hash = tree.structure_digest();
-        let label_count = tree.interner().len();
         PreparedTree {
             tree,
             relations: (0..Axis::COUNT).map(|_| OnceLock::new()).collect(),
             relation_builds: AtomicU64::new(0),
-            label_pre_sets: (0..label_count).map(|_| OnceLock::new()).collect(),
-            label_set_builds: AtomicU64::new(0),
             summary: OnceLock::new(),
             summary_builds: AtomicU64::new(0),
             carried_relations: 0,
-            carried_label_sets: 0,
             structure_hash,
         }
     }
@@ -209,16 +196,14 @@ impl PreparedTree {
     /// * when the script changed no structure
     ///   ([`EditSummary::keeps_structure`]), the structural index of `tree`
     ///   is bit-identical to the previous epoch's, so every already-built
-    ///   **axis relation** is adopted as-is, and the rank-space set of every
-    ///   label not in [`EditSummary::touched_labels`] is adopted too;
-    /// * a structural edit shifts pre-order ranks and node ids, so nothing
-    ///   is carried and every cache is rebuilt lazily on first use.
+    ///   **axis relation** is adopted as-is, and so is the document summary,
+    ///   re-probed only for [`EditSummary::touched_labels`];
+    /// * a structural edit shifts node ids, so nothing is carried and every
+    ///   cache is rebuilt lazily on first use.
     ///
     /// `tree` must be the result of applying the summarized script to
-    /// `self.tree()` — label symbols are matched by index, which is sound
-    /// because the edit applier extends the interner instead of re-interning.
-    /// Carried entries are counted in [`PreparedTree::carried_relations`] /
-    /// [`PreparedTree::carried_label_sets`], not in the build counters.
+    /// `self.tree()`. Carried relations are counted in
+    /// [`PreparedTree::carried_relations`], not in the build counters.
     pub fn prepare_edited(&self, tree: Tree, summary: &EditSummary) -> Self {
         let mut next = PreparedTree::new(tree);
         if !summary.keeps_structure() {
@@ -229,21 +214,6 @@ impl PreparedTree {
             if let Some(relation) = prev.get() {
                 let _ = slot.set(Arc::clone(relation));
                 next.carried_relations += 1;
-            }
-        }
-        for (index, (slot, prev)) in next
-            .label_pre_sets
-            .iter_mut()
-            .zip(&self.label_pre_sets)
-            .enumerate()
-        {
-            let name = self.tree.interner().name(Label(index as u32));
-            if summary.touches_label(name) {
-                continue;
-            }
-            if let Some(set) = prev.get() {
-                let _ = slot.set(set.clone());
-                next.carried_label_sets += 1;
             }
         }
         // The document summary survives a structure-preserving commit too:
@@ -262,10 +232,11 @@ impl PreparedTree {
         self.carried_relations
     }
 
-    /// How many label sets were adopted from the previous epoch at
-    /// construction time.
+    /// Always 0: label sets are the tree's own [`Tree::nodes_with_label`]
+    /// sets, built with the tree, so no epoch carries one. Kept because the
+    /// repository benchmark reads the name.
     pub fn carried_label_sets(&self) -> u64 {
-        self.carried_label_sets
+        0
     }
 
     /// The underlying tree.
@@ -293,28 +264,11 @@ impl PreparedTree {
         self.relation_builds.load(Ordering::Relaxed)
     }
 
-    /// The nodes carrying `label`, as a **pre-order rank-space** set (bit `i`
-    /// set iff the node with pre-order rank `i` carries the label), built on
-    /// first use.
-    ///
-    /// # Panics
-    /// Panics if `label` is not a symbol of this tree's interner.
-    pub fn label_pre_set(&self, label: Label) -> &NodeSet {
-        self.label_pre_sets[label.index()].get_or_init(|| {
-            self.label_set_builds.fetch_add(1, Ordering::Relaxed);
-            self.tree.to_pre_space(self.tree.nodes_with_label(label))
-        })
-    }
-
-    /// [`PreparedTree::label_pre_set`] by label name; `None` when no node of
-    /// the tree carries the label (the set would be empty).
-    pub fn label_pre_set_by_name(&self, name: &str) -> Option<&NodeSet> {
-        self.tree.label(name).map(|label| self.label_pre_set(label))
-    }
-
-    /// How many label sets have been converted to rank space so far.
+    /// Always 0: after indexing no label set is built, because the tree's
+    /// own [`Tree::nodes_with_label`] sets are already in the rank space the
+    /// engines run in. Kept because the repository benchmark reads the name.
     pub fn label_set_builds(&self) -> u64 {
-        self.label_set_builds.load(Ordering::Relaxed)
+        0
     }
 
     /// The pruning summary of this document epoch, built on first use and
@@ -383,21 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn label_pre_sets_are_built_once() {
-        let prepared = PreparedTree::new(parse_term("A(B(A), C)").unwrap());
-        let a = prepared.tree().label("A").unwrap();
-        let direct = prepared
-            .tree()
-            .to_pre_space(prepared.tree().nodes_with_label(a));
-        assert_eq!(prepared.label_pre_set(a), &direct);
-        assert_eq!(prepared.label_pre_set(a), &direct);
-        assert_eq!(prepared.label_set_builds(), 1);
-        assert!(prepared.label_pre_set_by_name("Z").is_none());
-        assert!(prepared.label_pre_set_by_name("C").is_some());
-        assert_eq!(prepared.label_set_builds(), 2);
-    }
-
-    #[test]
     fn structure_hash_distinguishes_shape_and_labels() {
         let a = PreparedTree::new(parse_term("A(B, C)").unwrap());
         let a2 = PreparedTree::new(parse_term("A(B, C)").unwrap());
@@ -418,15 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn relabel_only_commit_carries_relations_and_untouched_label_sets() {
+    fn relabel_only_commit_carries_relations() {
         use crate::edit::{EditScript, TreeEdit};
         let prev = PreparedTree::new(parse_term("A(B(D), C(D))").unwrap());
         prev.relation(Axis::ChildPlus);
         prev.relation(Axis::Following);
-        let b = prev.tree().label("B").unwrap();
-        let d = prev.tree().label("D").unwrap();
-        prev.label_pre_set(b);
-        prev.label_pre_set(d);
         // Relabel the B node to E: structure untouched, labels B and E touched.
         let script = EditScript::single(TreeEdit::Relabel {
             node_pre: 1,
@@ -436,7 +371,6 @@ mod tests {
         let next = prev.prepare_edited(tree, &summary);
         assert_ne!(prev.structure_hash(), next.structure_hash());
         assert_eq!(next.carried_relations(), 2);
-        assert_eq!(next.carried_label_sets(), 1, "only D's set is untouched");
         // Carried artifacts are *legal*: identical to a from-scratch rebuild.
         let fresh = MaterializedRelation::from_axis(next.tree(), Axis::ChildPlus);
         let carried = next.relation(Axis::ChildPlus);
@@ -444,20 +378,8 @@ mod tests {
         for (u, v) in fresh.pairs() {
             assert!(carried.contains(u, v));
         }
-        assert_eq!(
-            next.label_pre_set(d),
-            &next.tree().to_pre_space(next.tree().nodes_with_label(d))
-        );
-        // Serving from carried entries performs no builds; only genuinely new
-        // artifacts (the touched label's set) are derived.
+        // Serving from carried entries performs no builds.
         assert_eq!(next.relation_builds(), 0);
-        assert_eq!(next.label_set_builds(), 0);
-        let e = next.tree().label("E").unwrap();
-        assert_eq!(
-            next.label_pre_set(e),
-            &next.tree().to_pre_space(next.tree().nodes_with_label(e))
-        );
-        assert_eq!(next.label_set_builds(), 1);
     }
 
     #[test]
@@ -465,12 +387,10 @@ mod tests {
         use crate::edit::{EditScript, TreeEdit};
         let prev = PreparedTree::new(parse_term("A(B(D), C(D))").unwrap());
         prev.relation(Axis::Child);
-        prev.label_pre_set(prev.tree().label("D").unwrap());
         let script = EditScript::single(TreeEdit::DeleteSubtree { node_pre: 3 });
         let (tree, summary) = script.apply_to(prev.tree()).unwrap();
         let next = prev.prepare_edited(tree, &summary);
         assert_eq!(next.carried_relations(), 0);
-        assert_eq!(next.carried_label_sets(), 0);
         assert_ne!(prev.structure_hash(), next.structure_hash());
         // Everything is rebuilt lazily against the new epoch.
         assert!(!next.relation(Axis::Child).is_empty());
@@ -554,14 +474,12 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..10 {
                         p.relation(Axis::ChildPlus);
-                        p.label_pre_set_by_name("B");
                     }
                 });
             }
         });
         // OnceLock runs the initializer exactly once even under contention.
         assert_eq!(prepared.relation_builds(), 1);
-        assert_eq!(prepared.label_set_builds(), 1);
         assert!(!prepared.relation(Axis::ChildPlus).is_empty());
     }
 }

@@ -20,9 +20,9 @@ use crate::tree::Tree;
 pub struct MaterializedRelation {
     /// Human-readable name (axis name or a custom name).
     name: String,
-    /// `successors[u]` = all `v` with `R(u, v)`, sorted by raw index.
+    /// `successors[u]` = all `v` with `R(u, v)`, sorted by id.
     successors: Vec<Vec<NodeId>>,
-    /// `predecessors[v]` = all `u` with `R(u, v)`, sorted by raw index.
+    /// `predecessors[v]` = all `u` with `R(u, v)`, sorted by id.
     predecessors: Vec<Vec<NodeId>>,
     /// Total number of pairs.
     pair_count: usize,
@@ -40,9 +40,9 @@ impl MaterializedRelation {
     pub fn from_axis(tree: &Tree, axis: Axis) -> Self {
         let n = tree.len();
         let name = axis.paper_name().to_owned();
-        // Direct structural adjacency for the local axes. TreeBuilder hands
-        // out ids in creation order, so children lists (and the single-entry
-        // parent/sibling lists) are already sorted by raw index.
+        // Direct structural adjacency for the local axes. Node ids are
+        // pre-order ranks, so children lists (and the single-entry
+        // parent/sibling lists) are already sorted by id.
         /// Forward and backward adjacency lists, as built by the local-axis
         /// fast path.
         type Adjacency = (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>);
@@ -106,7 +106,7 @@ impl MaterializedRelation {
                 pair_count += 1;
             }
         }
-        // Successor lists from `Axis::successors` are not sorted by raw index
+        // Successor lists from `Axis::successors` are not sorted by id
         // for every axis, but predecessors are appended in increasing `u`;
         // skip the sort wherever insertion order is already sorted.
         for list in successors.iter_mut().chain(predecessors.iter_mut()) {

@@ -5,7 +5,6 @@
 //! Section 5) and the query/data structures side by side.
 
 use crate::node::NodeId;
-use crate::order::Order;
 use crate::tree::Tree;
 
 /// Renders `tree` as an indented ASCII diagram, one node per line, children
@@ -51,7 +50,7 @@ fn render_ascii(tree: &Tree, node: NodeId, prefix: &str, child_prefix: &str, out
 /// Renders `tree` as a Graphviz DOT digraph with child edges.
 pub fn to_dot(tree: &Tree) -> String {
     let mut out = String::from("digraph tree {\n  node [shape=box];\n");
-    for node in tree.nodes_in_order(Order::Pre) {
+    for node in tree.nodes() {
         let labels = tree.label_names(node).join("|");
         let labels = if labels.is_empty() {
             "_".to_owned()
@@ -60,7 +59,7 @@ pub fn to_dot(tree: &Tree) -> String {
         };
         out.push_str(&format!("  {} [label=\"{}\"];\n", node.index(), labels));
     }
-    for node in tree.nodes_in_order(Order::Pre) {
+    for node in tree.nodes() {
         for &child in tree.children(node) {
             out.push_str(&format!("  {} -> {};\n", node.index(), child.index()));
         }

@@ -1,15 +1,21 @@
 //! Arena-backed unranked labeled trees and their structural index.
 //!
 //! A [`Tree`] is immutable: it is produced by a [`TreeBuilder`] and, at build
-//! time, a structural index is computed that supports O(1) membership tests
-//! for every axis of the paper and O(1) rank lookups for the three traversal
-//! orders. The index stores, per node:
+//! time, its nodes are renumbered in document (pre-)order and a structural
+//! index is computed that supports O(1) membership tests for every axis of
+//! the paper and O(1) rank lookups for the three traversal orders.
+//!
+//! **A [`NodeId`] is its node's pre-order rank**, on every tree: built,
+//! generated, parsed, decoded or edited. This is the node numbering of the
+//! XPath accelerator's pre/post plane: the rank-space semijoin kernels, the
+//! answer sets and the edit scripts all speak the same numbers, so nothing
+//! ever converts between an id and a rank. The index stores, per node:
 //!
 //! * parent, children (in sibling order), previous/next sibling, sibling rank,
 //! * depth (root has depth 0),
-//! * pre-order rank and the largest pre-order rank inside the node's subtree
-//!   (the classic *interval encoding* — `v` is a descendant of `u` iff
-//!   `pre(u) < pre(v) ≤ pre_end(u)`),
+//! * the largest pre-order rank inside the node's subtree (the classic
+//!   *interval encoding* — `v` is a descendant of `u` iff
+//!   `u < v ≤ pre_end(u)`),
 //! * post-order and BFLR ranks,
 //! * per-label node sets for O(1) retrieval of all nodes carrying a label.
 
@@ -56,6 +62,9 @@ impl std::error::Error for TreeError {}
 /// (children are appended left-to-right); labels may be added at creation time
 /// or later with [`TreeBuilder::add_label`]. [`TreeBuilder::build`] validates
 /// the structure and computes the structural index.
+///
+/// The [`NodeId`]s the `add_*` methods return are **builder-local handles**;
+/// see [`TreeBuilder::build`] for how they relate to the built tree's ids.
 ///
 /// ```
 /// use cqt_trees::TreeBuilder;
@@ -139,23 +148,32 @@ impl TreeBuilder {
         current
     }
 
-    /// Validates the structure and computes the structural index.
+    /// Validates the structure, numbers the nodes in pre-order and computes
+    /// the structural index.
+    ///
+    /// The built tree's ids are pre-order ranks, whatever order the nodes
+    /// were added in. A builder fed **in pre-order** (every node added after
+    /// all of its preceding nodes in document order, as the term and XML
+    /// parsers and the codec do) gets back ids equal to its handles. A
+    /// builder fed in any other order must look its nodes up in the built
+    /// tree, by label or by position, rather than reuse its handles.
     pub fn build(self) -> Result<Tree, TreeError> {
         index_tree(self.interner, self.labels, self.parent, self.children)
     }
 }
 
-/// Validates a parent/children arena and computes the full structural index.
+/// Validates a parent/children arena, renumbers it in pre-order and computes
+/// the full structural index.
 ///
 /// This is the single place the index invariants live: [`TreeBuilder::build`]
-/// and the incremental [`crate::edit`] applier both funnel through it, so an
-/// edited tree's rank-space arrays are recomputed by exactly the code that
-/// defines them.
+/// and the [`crate::edit`] applier both funnel through it, so every tree's
+/// ids are its pre-order ranks. Arena nodes the walk from the root does not
+/// reach (a subtree an edit unlinked) are dropped.
 pub(crate) fn index_tree(
     interner: LabelInterner,
-    labels: Vec<Vec<Label>>,
+    mut labels: Vec<Vec<Label>>,
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    mut children: Vec<Vec<NodeId>>,
 ) -> Result<Tree, TreeError> {
     if labels.is_empty() {
         return Err(TreeError::Empty);
@@ -167,77 +185,90 @@ pub(crate) fn index_tree(
     if roots.len() != 1 {
         return Err(TreeError::MultipleRoots { roots });
     }
-    let root = roots[0];
+
+    // Pre-order of the arena, with an explicit stack so deep trees do not
+    // overflow the call stack. An arena already in pre-order keeps its ids.
+    let mut order = Vec::with_capacity(labels.len());
+    let mut stack = vec![roots[0]];
+    while let Some(node) = stack.pop() {
+        order.push(node);
+        stack.extend(children[node.index()].iter().rev());
+    }
+    let in_pre_order = order.len() == labels.len()
+        && order
+            .iter()
+            .enumerate()
+            .all(|(rank, node)| node.index() == rank);
+    if !in_pre_order {
+        let mut rank_of = vec![0u32; labels.len()];
+        for (rank, node) in order.iter().enumerate() {
+            rank_of[node.index()] = rank as u32;
+        }
+        let mut new_labels = Vec::with_capacity(order.len());
+        let mut new_children = Vec::with_capacity(order.len());
+        for node in &order {
+            new_labels.push(std::mem::take(&mut labels[node.index()]));
+            let mut kids = std::mem::take(&mut children[node.index()]);
+            for kid in &mut kids {
+                *kid = NodeId::from_index(rank_of[kid.index()] as usize);
+            }
+            new_children.push(kids);
+        }
+        labels = new_labels;
+        children = new_children;
+    }
     let n = labels.len();
 
-    let mut depth = vec![0u32; n];
+    // Every child has a larger id than its parent, so one forward pass sees
+    // each parent's depth before its children's.
+    let mut parent = vec![Tree::NO_PARENT; n];
+    let mut prev_sibling = vec![Tree::NO_PARENT; n];
+    let mut next_sibling = vec![Tree::NO_PARENT; n];
     let mut sib_rank = vec![0u32; n];
-    let mut next_sibling = vec![None; n];
-    let mut prev_sibling = vec![None; n];
-    for child_list in &children {
-        for (rank, &child) in child_list.iter().enumerate() {
-            sib_rank[child.index()] = rank as u32;
+    let mut depth = vec![0u32; n];
+    for (node, kids) in children.iter().enumerate() {
+        for (rank, &kid) in kids.iter().enumerate() {
+            let kid = kid.index();
+            parent[kid] = node as u32;
+            depth[kid] = depth[node] + 1;
+            sib_rank[kid] = rank as u32;
             if rank > 0 {
-                prev_sibling[child.index()] = Some(child_list[rank - 1]);
+                prev_sibling[kid] = kids[rank - 1].index() as u32;
             }
-            if rank + 1 < child_list.len() {
-                next_sibling[child.index()] = Some(child_list[rank + 1]);
+            if let Some(next) = kids.get(rank + 1) {
+                next_sibling[kid] = next.index() as u32;
             }
         }
     }
 
-    // Pre-order, post-order and subtree intervals via an explicit stack
-    // (iterative DFS so deep trees do not overflow the call stack).
-    let mut pre = vec![0u32; n];
-    let mut pre_end = vec![0u32; n];
-    let mut post = vec![0u32; n];
-    let mut pre_to_node = vec![root; n];
-    let mut post_to_node = vec![root; n];
-    let mut pre_counter = 0u32;
-    let mut post_counter = 0u32;
-    // Stack entries: (node, next child index to visit).
-    let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-    pre[root.index()] = pre_counter;
-    pre_to_node[pre_counter as usize] = root;
-    pre_counter += 1;
-    while let Some(top) = stack.last_mut() {
-        let node = top.0;
-        let next_child = top.1;
-        let child_list = &children[node.index()];
-        if next_child < child_list.len() {
-            top.1 += 1;
-            let child = child_list[next_child];
-            depth[child.index()] = depth[node.index()] + 1;
-            pre[child.index()] = pre_counter;
-            pre_to_node[pre_counter as usize] = child;
-            pre_counter += 1;
-            stack.push((child, 0));
-        } else {
-            pre_end[node.index()] = pre_counter - 1;
-            post[node.index()] = post_counter;
-            post_to_node[post_counter as usize] = node;
-            post_counter += 1;
-            stack.pop();
+    // A subtree ends where its last child's subtree ends; children come
+    // after their parent, so one backward pass suffices.
+    let mut pre_end: Vec<u32> = (0..n as u32).collect();
+    for node in (0..n).rev() {
+        if let Some(last) = children[node].last() {
+            pre_end[node] = pre_end[last.index()];
         }
     }
-    debug_assert_eq!(pre_counter as usize, n);
-    debug_assert_eq!(post_counter as usize, n);
+
+    // post(v) = pre(v) + size(v) - 1 - depth(v): the nodes before v in
+    // post-order are its descendants and the pre-order predecessors that
+    // are not its ancestors.
+    let post: Vec<u32> = (0..n).map(|v| pre_end[v] - depth[v]).collect();
+    let mut post_to_node = vec![NodeId::from_index(0); n];
+    for (node, &rank) in post.iter().enumerate() {
+        post_to_node[rank as usize] = NodeId::from_index(node);
+    }
 
     // BFLR order.
     let mut bflr = vec![0u32; n];
-    let mut bflr_to_node = vec![root; n];
-    let mut queue = VecDeque::new();
-    queue.push_back(root);
-    let mut bflr_counter = 0u32;
+    let mut bflr_to_node = Vec::with_capacity(n);
+    let mut queue = VecDeque::from([NodeId::from_index(0)]);
     while let Some(node) = queue.pop_front() {
-        bflr[node.index()] = bflr_counter;
-        bflr_to_node[bflr_counter as usize] = node;
-        bflr_counter += 1;
-        for &child in &children[node.index()] {
-            queue.push_back(child);
-        }
+        bflr[node.index()] = bflr_to_node.len() as u32;
+        bflr_to_node.push(node);
+        queue.extend(children[node.index()].iter().copied());
     }
-    debug_assert_eq!(bflr_counter as usize, n);
+    debug_assert_eq!(bflr_to_node.len(), n);
 
     // Per-label node sets.
     let mut label_nodes = vec![NodeSet::empty(n); interner.len()];
@@ -247,91 +278,55 @@ pub(crate) fn index_tree(
         }
     }
 
-    // Rank-space views of the structural index, used by the word-parallel
-    // semijoin kernels: everything indexed by pre-order rank so the hot
-    // loops touch memory sequentially and never chase NodeIds.
-    let mut pre_end_by_pre = vec![0u32; n];
-    let mut parent_by_pre = vec![Tree::NO_PARENT; n];
-    let mut prev_sibling_by_pre = vec![Tree::NO_PARENT; n];
-    let mut next_sibling_by_pre = vec![Tree::NO_PARENT; n];
-    let mut pre_is_identity = true;
-    for (rank, &node) in pre_to_node.iter().enumerate() {
-        pre_end_by_pre[rank] = pre_end[node.index()];
-        if let Some(p) = parent[node.index()] {
-            parent_by_pre[rank] = pre[p.index()];
-        }
-        if let Some(s) = prev_sibling[node.index()] {
-            prev_sibling_by_pre[rank] = pre[s.index()];
-        }
-        if let Some(s) = next_sibling[node.index()] {
-            next_sibling_by_pre[rank] = pre[s.index()];
-        }
-        pre_is_identity &= node.index() == rank;
-    }
-
     Ok(Tree {
         interner,
         labels,
-        parent,
         children,
-        next_sibling,
+        parent,
         prev_sibling,
+        next_sibling,
+        pre_end,
         depth,
         sib_rank,
-        pre,
-        pre_end,
         post,
         bflr,
-        pre_to_node,
         post_to_node,
         bflr_to_node,
-        pre_end_by_pre,
-        parent_by_pre,
-        prev_sibling_by_pre,
-        next_sibling_by_pre,
-        pre_is_identity,
         label_nodes,
-        root,
     })
 }
 
 /// An immutable unranked labeled tree with a full structural index.
 ///
-/// See the [module documentation](self) for the invariants of the index.
+/// Node ids are pre-order ranks: the root is node 0, and ascending ids are
+/// document order. Every per-node array below is indexed by node id, so it
+/// is also the rank-space array the semijoin kernels read. See the
+/// [module documentation](self) for the invariants of the index.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Tree {
     interner: LabelInterner,
     labels: Vec<Vec<Label>>,
-    parent: Vec<Option<NodeId>>,
     children: Vec<Vec<NodeId>>,
-    next_sibling: Vec<Option<NodeId>>,
-    prev_sibling: Vec<Option<NodeId>>,
+    /// Parent of each node ([`Tree::NO_PARENT`] for the root).
+    parent: Vec<u32>,
+    /// Previous sibling of each node ([`Tree::NO_PARENT`] when there is none).
+    prev_sibling: Vec<u32>,
+    /// Next sibling of each node ([`Tree::NO_PARENT`] when there is none).
+    next_sibling: Vec<u32>,
+    /// Largest node id (pre-order rank) in each node's subtree.
+    pre_end: Vec<u32>,
     depth: Vec<u32>,
     sib_rank: Vec<u32>,
-    pre: Vec<u32>,
-    pre_end: Vec<u32>,
     post: Vec<u32>,
     bflr: Vec<u32>,
-    pre_to_node: Vec<NodeId>,
     post_to_node: Vec<NodeId>,
     bflr_to_node: Vec<NodeId>,
-    /// `pre_end` of the node at pre-order rank `i` (rank-space view).
-    pre_end_by_pre: Vec<u32>,
-    /// Pre-order rank of the parent of the node at pre-order rank `i`
-    /// ([`Tree::NO_PARENT`] for the root).
-    parent_by_pre: Vec<u32>,
-    /// Pre-order rank of the previous sibling of the node at rank `i`
-    /// ([`Tree::NO_PARENT`] when there is none).
-    prev_sibling_by_pre: Vec<u32>,
-    /// Pre-order rank of the next sibling of the node at rank `i`
-    /// ([`Tree::NO_PARENT`] when there is none).
-    next_sibling_by_pre: Vec<u32>,
-    /// Whether raw node indices coincide with pre-order ranks (true for any
-    /// tree built in DFS order, e.g. by the term parser); set conversions
-    /// between the two spaces degrade to memcpys in that case.
-    pre_is_identity: bool,
     label_nodes: Vec<NodeSet>,
-    root: NodeId,
+}
+
+/// Reads a parent or sibling link.
+fn link(value: u32) -> Option<NodeId> {
+    (value != Tree::NO_PARENT).then(|| NodeId::from_index(value as usize))
 }
 
 impl Tree {
@@ -346,19 +341,19 @@ impl Tree {
         self.labels.is_empty()
     }
 
-    /// The root node.
+    /// The root node, which is always node 0.
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId::from_index(0)
     }
 
-    /// Iterates over all nodes in raw-index order.
+    /// Iterates over all nodes in id order, which is document order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.len()).map(NodeId::from_index)
     }
 
     /// The parent of `node`, or `None` for the root.
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.parent[node.index()]
+        link(self.parent[node.index()])
     }
 
     /// The children of `node` in left-to-right order.
@@ -378,12 +373,12 @@ impl Tree {
 
     /// The right neighbouring sibling of `node`, if any.
     pub fn next_sibling(&self, node: NodeId) -> Option<NodeId> {
-        self.next_sibling[node.index()]
+        link(self.next_sibling[node.index()])
     }
 
     /// The left neighbouring sibling of `node`, if any.
     pub fn prev_sibling(&self, node: NodeId) -> Option<NodeId> {
-        self.prev_sibling[node.index()]
+        link(self.prev_sibling[node.index()])
     }
 
     /// Depth of `node`; the root has depth 0.
@@ -403,7 +398,7 @@ impl Tree {
 
     /// Number of nodes in the subtree rooted at `node` (including `node`).
     pub fn subtree_size(&self, node: NodeId) -> usize {
-        (self.pre_end[node.index()] - self.pre[node.index()] + 1) as usize
+        self.pre_end[node.index()] as usize - node.index() + 1
     }
 
     // ---- labels ---------------------------------------------------------
@@ -465,10 +460,11 @@ impl Tree {
 
     // ---- orders ---------------------------------------------------------
 
-    /// The rank of `node` in `order` (0-based).
+    /// The rank of `node` in `order` (0-based). The pre-order rank is the
+    /// node id itself.
     pub fn rank(&self, order: Order, node: NodeId) -> u32 {
         match order {
-            Order::Pre => self.pre[node.index()],
+            Order::Pre => node.index() as u32,
             Order::Post => self.post[node.index()],
             Order::Bflr => self.bflr[node.index()],
         }
@@ -480,39 +476,33 @@ impl Tree {
     /// Panics if `rank >= self.len()`.
     pub fn node_at(&self, order: Order, rank: u32) -> NodeId {
         match order {
-            Order::Pre => self.pre_to_node[rank as usize],
+            Order::Pre => {
+                assert!((rank as usize) < self.len(), "pre-order rank out of range");
+                NodeId::from_index(rank as usize)
+            }
             Order::Post => self.post_to_node[rank as usize],
             Order::Bflr => self.bflr_to_node[rank as usize],
         }
     }
 
-    /// The full rank array of `order`, indexed by raw node index.
-    pub fn rank_array(&self, order: Order) -> &[u32] {
+    /// The full rank array of `order`, indexed by node id; `None` for
+    /// [`Order::Pre`], whose rank is the id itself.
+    pub fn rank_array(&self, order: Order) -> Option<&[u32]> {
         match order {
-            Order::Pre => &self.pre,
-            Order::Post => &self.post,
-            Order::Bflr => &self.bflr,
+            Order::Pre => None,
+            Order::Post => Some(&self.post),
+            Order::Bflr => Some(&self.bflr),
         }
     }
 
     /// Iterates over all nodes in increasing `order`.
     pub fn nodes_in_order(&self, order: Order) -> impl Iterator<Item = NodeId> + '_ {
-        let slots: &[NodeId] = match order {
-            Order::Pre => &self.pre_to_node,
-            Order::Post => &self.post_to_node,
-            Order::Bflr => &self.bflr_to_node,
-        };
-        slots.iter().copied()
+        (0..self.len() as u32).map(move |rank| self.node_at(order, rank))
     }
 
     /// Whether `a` strictly precedes `b` in `order`.
     pub fn precedes(&self, order: Order, a: NodeId, b: NodeId) -> bool {
         self.rank(order, a) < self.rank(order, b)
-    }
-
-    /// Pre-order rank of `node`.
-    pub fn pre_rank(&self, node: NodeId) -> u32 {
-        self.pre[node.index()]
     }
 
     /// Largest pre-order rank occurring in the subtree of `node`.
@@ -523,93 +513,34 @@ impl Tree {
     /// Sentinel in [`Tree::parent_by_pre`] marking the root (no parent).
     pub const NO_PARENT: u32 = u32::MAX;
 
-    /// `pre_end` indexed by pre-order rank: `pre_end_by_pre()[i]` is the
-    /// largest pre-order rank inside the subtree of the node at rank `i`.
+    /// `pre_end` of every node, indexed by node id (= pre-order rank):
+    /// `pre_end_by_pre()[i]` is the largest rank inside the subtree of `i`.
     ///
     /// This is the interval array consumed by
     /// [`NodeSet::prefix_or_within_intervals`]: subtree intervals in pre-order
     /// rank space are laminar, which is what makes the descendant-closure
     /// semijoin a blockwise fill.
     pub fn pre_end_by_pre(&self) -> &[u32] {
-        &self.pre_end_by_pre
+        &self.pre_end
     }
 
-    /// Parent pre-order rank indexed by pre-order rank
-    /// ([`Tree::NO_PARENT`] for the root).
+    /// Parent of every node, indexed by node id ([`Tree::NO_PARENT`] for
+    /// the root).
     pub fn parent_by_pre(&self) -> &[u32] {
-        &self.parent_by_pre
+        &self.parent
     }
 
-    /// Previous-sibling pre-order rank indexed by pre-order rank
-    /// ([`Tree::NO_PARENT`] when there is none). Lets sibling-chain walks in
-    /// rank space hop one array instead of converting rank → node → sibling
-    /// → rank per step.
+    /// Previous sibling of every node, indexed by node id
+    /// ([`Tree::NO_PARENT`] when there is none). Lets sibling-chain walks
+    /// hop one array.
     pub fn prev_sibling_by_pre(&self) -> &[u32] {
-        &self.prev_sibling_by_pre
+        &self.prev_sibling
     }
 
-    /// Next-sibling pre-order rank indexed by pre-order rank
-    /// ([`Tree::NO_PARENT`] when there is none).
+    /// Next sibling of every node, indexed by node id ([`Tree::NO_PARENT`]
+    /// when there is none).
     pub fn next_sibling_by_pre(&self) -> &[u32] {
-        &self.next_sibling_by_pre
-    }
-
-    /// Whether raw node indices coincide with pre-order ranks on this tree.
-    pub fn pre_is_identity(&self) -> bool {
-        self.pre_is_identity
-    }
-
-    // ---- rank-space set conversions -------------------------------------
-
-    /// Converts a raw-index [`NodeSet`] into **pre-order rank space** (bit
-    /// `i` set iff the node with pre-order rank `i` is a member), writing
-    /// into `out` without allocating. The evaluation engines convert each
-    /// candidate set once, run the whole semijoin/arc-consistency fixpoint
-    /// on rank-space sets, and convert back at the end.
-    ///
-    /// # Panics
-    /// Panics if either set's capacity differs from the tree size.
-    pub fn to_pre_space_into(&self, set: &NodeSet, out: &mut NodeSet) {
-        assert_eq!(set.capacity(), self.len(), "NodeSet/tree size mismatch");
-        if self.pre_is_identity {
-            out.copy_from(set);
-            return;
-        }
-        out.clear();
-        for v in set.iter() {
-            out.insert(NodeId::from_index(self.pre[v.index()] as usize));
-        }
-    }
-
-    /// Allocating variant of [`Tree::to_pre_space_into`].
-    pub fn to_pre_space(&self, set: &NodeSet) -> NodeSet {
-        let mut out = NodeSet::empty(self.len());
-        self.to_pre_space_into(set, &mut out);
-        out
-    }
-
-    /// Converts a pre-order rank-space [`NodeSet`] back to raw node indices,
-    /// writing into `out` without allocating.
-    ///
-    /// # Panics
-    /// Panics if either set's capacity differs from the tree size.
-    pub fn from_pre_space_into(&self, set: &NodeSet, out: &mut NodeSet) {
-        assert_eq!(set.capacity(), self.len(), "NodeSet/tree size mismatch");
-        if self.pre_is_identity {
-            out.copy_from(set);
-            return;
-        }
-        out.clear();
-        for rank in set.iter() {
-            out.insert(self.pre_to_node[rank.index()]);
-        }
-    }
-
-    /// Allocating variant of [`Tree::from_pre_space_into`].
-    pub fn from_pre_space(&self, set: &NodeSet) -> NodeSet {
-        let mut out = NodeSet::empty(self.len());
-        self.from_pre_space_into(set, &mut out);
-        out
+        &self.next_sibling
     }
 
     /// Post-order rank of `node`.
@@ -627,8 +558,7 @@ impl Tree {
     /// Whether `descendant` is a proper descendant of `ancestor`
     /// (`Child+(ancestor, descendant)` in the paper's notation).
     pub fn is_descendant(&self, ancestor: NodeId, descendant: NodeId) -> bool {
-        self.pre[ancestor.index()] < self.pre[descendant.index()]
-            && self.pre[descendant.index()] <= self.pre_end[ancestor.index()]
+        ancestor < descendant && descendant.index() <= self.pre_end[ancestor.index()] as usize
     }
 
     /// Whether `a` and `b` share a parent (both non-root).
@@ -652,14 +582,12 @@ impl Tree {
     /// The nodes of the subtree rooted at `node` in pre-order (including
     /// `node` itself).
     pub fn descendants_or_self(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let start = self.pre[node.index()] as usize;
-        let end = self.pre_end[node.index()] as usize;
-        self.pre_to_node[start..=end].iter().copied()
+        (node.index()..=self.pre_end[node.index()] as usize).map(NodeId::from_index)
     }
 
     /// The leaves of the tree in pre-order.
     pub fn leaves(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes_in_order(Order::Pre).filter(|&n| self.is_leaf(n))
+        self.nodes().filter(|&n| self.is_leaf(n))
     }
 
     /// The maximum depth over all nodes.
@@ -670,9 +598,10 @@ impl Tree {
     // ---- structural identity and editing support ------------------------
 
     /// A hash of the tree's structure and labeling: the subtree intervals in
-    /// pre-order rank space plus the label *names* of every node in pre-order.
+    /// pre-order plus the label *names* of every node in pre-order.
     /// Two trees digest equally iff they are isomorphic as ordered labeled
-    /// trees — independently of arena numbering and label interning order —
+    /// trees — independently of how they were built and of label interning
+    /// order —
     /// so an incrementally edited tree and a from-scratch rebuild of the same
     /// document always agree. Serving layers use the digest to key caches to
     /// a document epoch.
@@ -682,7 +611,7 @@ impl Tree {
         for &end in self.pre_end_by_pre() {
             hasher.write_u32(end);
         }
-        for node in self.nodes_in_order(Order::Pre) {
+        for node in self.nodes() {
             // Sorted by name, not by symbol: trees whose interners grew in
             // different orders (carried vs fresh) must digest equally.
             let mut names = self.label_names(node);
@@ -750,13 +679,15 @@ mod tests {
     ///     /    \      \
     ///   c(D)  d(B,E)  e(D)
     /// ```
+    ///
+    /// Built in pre-order, so the builder's handles are the tree's ids.
     fn sample() -> (Tree, Vec<NodeId>) {
         let mut b = TreeBuilder::new();
         let r = b.add_root(&["A"]);
         let a = b.add_child(r, &["B"]);
-        let bb = b.add_child(r, &["C"]);
         let c = b.add_child(a, &["D"]);
         let d = b.add_child(a, &["B", "E"]);
+        let bb = b.add_child(r, &["C"]);
         let e = b.add_child(bb, &["D"]);
         (b.build().unwrap(), vec![r, a, bb, c, d, e])
     }
@@ -884,55 +815,36 @@ mod tests {
     }
 
     #[test]
-    fn rank_space_index_arrays_are_consistent() {
+    fn index_arrays_are_consistent() {
         let (t, _) = sample();
-        let ends = t.pre_end_by_pre();
-        let parents = t.parent_by_pre();
+        let as_link = |v: Option<NodeId>| v.map_or(Tree::NO_PARENT, |v| v.index() as u32);
         for node in t.nodes() {
-            let rank = t.pre_rank(node) as usize;
-            assert_eq!(ends[rank], t.pre_end(node));
-            match t.parent(node) {
-                Some(p) => assert_eq!(parents[rank], t.pre_rank(p)),
-                None => assert_eq!(parents[rank], Tree::NO_PARENT),
-            }
-            match t.prev_sibling(node) {
-                Some(s) => assert_eq!(t.prev_sibling_by_pre()[rank], t.pre_rank(s)),
-                None => assert_eq!(t.prev_sibling_by_pre()[rank], Tree::NO_PARENT),
-            }
-            match t.next_sibling(node) {
-                Some(s) => assert_eq!(t.next_sibling_by_pre()[rank], t.pre_rank(s)),
-                None => assert_eq!(t.next_sibling_by_pre()[rank], Tree::NO_PARENT),
-            }
+            assert_eq!(t.rank(Order::Pre, node), node.index() as u32);
+            assert_eq!(t.parent_by_pre()[node.index()], as_link(t.parent(node)));
+            let siblings = (t.prev_sibling(node), t.next_sibling(node));
+            assert_eq!(t.prev_sibling_by_pre()[node.index()], as_link(siblings.0));
+            assert_eq!(t.next_sibling_by_pre()[node.index()], as_link(siblings.1));
+            let last = t.descendants_or_self(node).last().unwrap();
+            assert_eq!(t.pre_end_by_pre()[node.index()], last.index() as u32);
         }
-        // The sample tree is built in BFS-ish order, so pre-order is not the
-        // identity permutation on raw indices.
-        assert!(!t.pre_is_identity());
     }
 
     #[test]
-    fn pre_space_conversions_round_trip() {
-        let (t, n) = sample();
-        let set = NodeSet::from_nodes(t.len(), [n[0], n[2], n[4]]);
-        let pre = t.to_pre_space(&set);
-        assert_eq!(pre.len(), set.len());
-        for node in t.nodes() {
-            assert_eq!(
-                pre.contains(NodeId::from_index(t.pre_rank(node) as usize)),
-                set.contains(node)
-            );
-        }
-        assert_eq!(t.from_pre_space(&pre), set);
-        // A DFS-built tree takes the identity fast path.
+    fn builder_handles_out_of_pre_order_are_renumbered() {
+        // A(B(C), X) fed breadth-first: handles A=0 B=1 X=2 C=3.
         let mut b = TreeBuilder::new();
-        let r = b.add_root(&["A"]);
-        let c = b.add_child(r, &["B"]);
-        b.add_child(c, &["C"]);
-        b.add_child(r, &["D"]);
-        let dfs = b.build().unwrap();
-        assert!(dfs.pre_is_identity());
-        let s = NodeSet::from_nodes(dfs.len(), [dfs.root()]);
-        assert_eq!(dfs.to_pre_space(&s), s);
-        assert_eq!(dfs.from_pre_space(&s), s);
+        let a = b.add_root(&["A"]);
+        let bb = b.add_child(a, &["B"]);
+        b.add_child(a, &["X"]);
+        b.add_child(bb, &["C"]);
+        let t = b.build().unwrap();
+        let names: Vec<Vec<&str>> = t.nodes().map(|v| t.label_names(v)).collect();
+        assert_eq!(names, [["A"], ["B"], ["C"], ["X"]]);
+        assert_eq!(
+            t.children(t.root()),
+            &[NodeId::from_index(1), NodeId::from_index(3)]
+        );
+        assert_eq!(t.parent(NodeId::from_index(2)), Some(NodeId::from_index(1)));
     }
 
     #[test]

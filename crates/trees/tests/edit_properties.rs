@@ -11,8 +11,8 @@
 //!
 //! The two must agree on *everything*: the model itself, the structure
 //! digest, every rank-space index array, per-node labels and orders, and
-//! materialized axis relations (compared in pre-order rank space, since the
-//! two trees may number their arenas differently). A second property runs
+//! materialized axis relations (compared in pre-order rank space, which is
+//! also both trees' node numbering). A second property runs
 //! conjunctive queries over both trees through every applicable engine
 //! strategy and requires identical answers — the evaluation stack cannot
 //! tell an incrementally edited tree from a freshly built one.
@@ -131,13 +131,13 @@ fn build_from_model(model: &ModelNode) -> Tree {
 }
 
 // ---------------------------------------------------------------------------
-// Comparisons (all in pre-order rank space: arena numbering may differ)
+// Comparisons (all in pre-order rank space, the node numbering of every tree)
 // ---------------------------------------------------------------------------
 
 fn axis_pairs_pre(tree: &Tree, axis: Axis) -> BTreeSet<(u32, u32)> {
     axis.pairs(tree)
         .into_iter()
-        .map(|(u, v)| (tree.pre_rank(u), tree.pre_rank(v)))
+        .map(|(u, v)| (tree.rank(Order::Pre, u), tree.rank(Order::Pre, v)))
         .collect()
 }
 
@@ -191,10 +191,13 @@ fn canon(tree: &Tree, answer: &Answer) -> Vec<Vec<u32>> {
     let mut rows: Vec<Vec<u32>> = match answer {
         Answer::Boolean(true) => vec![Vec::new()],
         Answer::Boolean(false) => Vec::new(),
-        Answer::Nodes(nodes) => nodes.iter().map(|&n| vec![tree.pre_rank(n)]).collect(),
+        Answer::Nodes(nodes) => nodes
+            .iter()
+            .map(|&n| vec![tree.rank(Order::Pre, n)])
+            .collect(),
         Answer::Tuples(tuples) => tuples
             .iter()
-            .map(|t| t.iter().map(|&n| tree.pre_rank(n)).collect())
+            .map(|t| t.iter().map(|&n| tree.rank(Order::Pre, n)).collect())
             .collect(),
     };
     rows.sort();

@@ -5,96 +5,25 @@
 //! conjunctive-query machinery; the test-suite uses it to cross-check the
 //! XPath→CQ compiler against the CQ evaluation engines.
 //!
-//! A location path is evaluated *set-at-a-time in pre-order rank space*: the
-//! context set is converted once ([`Tree::to_pre_space`]), each navigation
-//! step is one in-place semijoin
-//! ([`cqt_core::support::pre_supported_targets`], the word-parallel
-//! rank-space kernels), the node test intersects with a per-label set, and
-//! the result converts back once at the end of the path. Only the predicate
-//! filter — existential subpath evaluation — visits surviving nodes
-//! individually.
+//! A location path is evaluated *set-at-a-time*: each navigation step is one
+//! in-place semijoin ([`cqt_core::support::pre_supported_targets`], the
+//! word-parallel rank-space kernels — node ids are pre-order ranks, so any
+//! node set is already in their rank space) and the node test intersects
+//! with the tree's own label set. Only the predicate filter — existential
+//! subpath evaluation — visits surviving nodes individually.
 //!
-//! Label sets are **resolved once per evaluation**, before any candidate is
-//! visited: the query's label names are collected up front, their
-//! rank-converted [`NodeSet`]s are materialized (or fetched) once into a
-//! per-evaluation table, and every step of the query (including steps inside
-//! predicate subpaths) *borrows* its set from there — so the per-candidate
-//! predicate recursion re-uses those sets instead of re-cloning and
-//! re-rank-converting them per candidate, previously a Θ(k·n) cost on
-//! predicate-heavy paths with k surviving candidates. On the
-//! [`evaluate_xpath_prepared`] entry point the borrows point straight into
-//! the [`PreparedTree::label_pre_set`] cache, so repeated evaluations
-//! neither convert nor copy anything (asserted by the build-counter
-//! regression test below).
+//! Label sets are **resolved once per path**, before any candidate is
+//! visited: every step of the query (including steps inside predicate
+//! subpaths) borrows its set from [`Tree::nodes_with_label`], so the
+//! per-candidate predicate recursion neither looks labels up nor copies
+//! sets.
 
 use cqt_core::support::pre_supported_targets;
 use cqt_trees::{Axis, NodeId, NodeSet, PreparedTree, Tree};
-use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::ast::{LocationPath, NodeTest, Predicate, Step, XPathQuery};
 
-/// The pre-space label sets one evaluation draws from: the shared cache of
-/// a [`PreparedTree`], or a table converted up front for plain [`Tree`]s.
-/// Owned for the duration of the evaluation so resolved paths can borrow.
-enum LabelSets<'t> {
-    Prepared(&'t PreparedTree),
-    Plain(FxHashMap<String, NodeSet>),
-}
-
-impl<'t> LabelSets<'t> {
-    /// Converts every label named by `paths` (including inside predicates)
-    /// exactly once.
-    fn plain_for(tree: &Tree, paths: &[&LocationPath]) -> Self {
-        let mut names: FxHashSet<&str> = FxHashSet::default();
-        for path in paths {
-            collect_labels(path, &mut names);
-        }
-        LabelSets::Plain(
-            names
-                .into_iter()
-                .map(|name| {
-                    (
-                        name.to_owned(),
-                        tree.to_pre_space(&tree.nodes_with_label_name(name)),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    /// The pre-space set of `name`; `None` when no node carries the label
-    /// (only possible on the prepared path — the plain table stores empty
-    /// sets for absent labels).
-    fn get(&self, name: &str) -> Option<&NodeSet> {
-        match self {
-            LabelSets::Prepared(prepared) => prepared.label_pre_set_by_name(name),
-            LabelSets::Plain(sets) => sets.get(name),
-        }
-    }
-}
-
-fn collect_labels<'q>(path: &'q LocationPath, out: &mut FxHashSet<&'q str>) {
-    for step in &path.steps {
-        if let NodeTest::Label(name) = &step.node_test {
-            out.insert(name);
-        }
-        for predicate in &step.predicates {
-            collect_predicate_labels(predicate, out);
-        }
-    }
-}
-
-fn collect_predicate_labels<'q>(predicate: &'q Predicate, out: &mut FxHashSet<&'q str>) {
-    match predicate {
-        Predicate::Path(path) => collect_labels(path, out),
-        Predicate::And(a, b) | Predicate::Or(a, b) => {
-            collect_predicate_labels(a, out);
-            collect_predicate_labels(b, out);
-        }
-    }
-}
-
-/// A step's node test with the label set already bound (rank space).
+/// A step's node test with the label set already bound.
 enum ResolvedTest<'s> {
     Wildcard,
     Set(&'s NodeSet),
@@ -118,97 +47,94 @@ enum ResolvedPredicate<'s> {
     Or(Box<ResolvedPredicate<'s>>, Box<ResolvedPredicate<'s>>),
 }
 
-fn resolve_step<'s>(sets: &'s LabelSets<'_>, step: &Step) -> ResolvedStep<'s> {
+fn resolve_step<'s>(tree: &'s Tree, step: &Step) -> ResolvedStep<'s> {
     ResolvedStep {
         axis: step.axis,
         test: match &step.node_test {
             NodeTest::Wildcard => ResolvedTest::Wildcard,
-            NodeTest::Label(name) => match sets.get(name) {
-                Some(set) => ResolvedTest::Set(set),
+            NodeTest::Label(name) => match tree.label(name) {
+                Some(label) => ResolvedTest::Set(tree.nodes_with_label(label)),
                 None => ResolvedTest::Empty,
             },
         },
         predicates: step
             .predicates
             .iter()
-            .map(|p| resolve_predicate(sets, p))
+            .map(|p| resolve_predicate(tree, p))
             .collect(),
     }
 }
 
-fn resolve_path<'s>(sets: &'s LabelSets<'_>, path: &LocationPath) -> ResolvedPath<'s> {
+fn resolve_path<'s>(tree: &'s Tree, path: &LocationPath) -> ResolvedPath<'s> {
     ResolvedPath {
         steps: path
             .steps
             .iter()
-            .map(|step| resolve_step(sets, step))
+            .map(|step| resolve_step(tree, step))
             .collect(),
     }
 }
 
-fn resolve_predicate<'s>(sets: &'s LabelSets<'_>, predicate: &Predicate) -> ResolvedPredicate<'s> {
+fn resolve_predicate<'s>(tree: &'s Tree, predicate: &Predicate) -> ResolvedPredicate<'s> {
     match predicate {
-        Predicate::Path(path) => ResolvedPredicate::Path(resolve_path(sets, path)),
+        Predicate::Path(path) => ResolvedPredicate::Path(resolve_path(tree, path)),
         Predicate::And(a, b) => ResolvedPredicate::And(
-            Box::new(resolve_predicate(sets, a)),
-            Box::new(resolve_predicate(sets, b)),
+            Box::new(resolve_predicate(tree, a)),
+            Box::new(resolve_predicate(tree, b)),
         ),
         Predicate::Or(a, b) => ResolvedPredicate::Or(
-            Box::new(resolve_predicate(sets, a)),
-            Box::new(resolve_predicate(sets, b)),
+            Box::new(resolve_predicate(tree, a)),
+            Box::new(resolve_predicate(tree, b)),
         ),
     }
 }
 
-/// One navigation step, entirely in rank space: `current` is the context set,
-/// the result lands in `out`.
-fn eval_step_pre(tree: &Tree, current: &NodeSet, step: &ResolvedStep<'_>, out: &mut NodeSet) {
+/// One navigation step: `current` is the context set, the result lands in
+/// `out`.
+fn eval_step(tree: &Tree, current: &NodeSet, step: &ResolvedStep<'_>, out: &mut NodeSet) {
     pre_supported_targets(tree, step.axis, current, out);
     match step.test {
         ResolvedTest::Wildcard => {}
-        ResolvedTest::Set(label_pre) => out.intersect_with(label_pre),
+        ResolvedTest::Set(labeled) => out.intersect_with(labeled),
         ResolvedTest::Empty => out.clear(),
     }
     if !step.predicates.is_empty() {
         let failing: Vec<NodeId> = out
             .iter()
-            .filter(|&rank| {
+            .filter(|&node| {
                 !step
                     .predicates
                     .iter()
-                    .all(|p| eval_predicate(tree, rank, p))
+                    .all(|p| eval_predicate(tree, node, p))
             })
             .collect();
-        for rank in failing {
-            out.remove(rank);
+        for node in failing {
+            out.remove(node);
         }
     }
 }
 
-/// Predicate check for one context node given by its **pre-order rank**.
-/// Runs fully in rank space: the singleton start set is built directly from
-/// the rank, so no per-candidate space conversion happens anywhere below.
-fn eval_predicate(tree: &Tree, context_rank: NodeId, predicate: &ResolvedPredicate<'_>) -> bool {
+/// Predicate check for one context node.
+fn eval_predicate(tree: &Tree, context: NodeId, predicate: &ResolvedPredicate<'_>) -> bool {
     match predicate {
         ResolvedPredicate::Path(path) => {
-            let start = NodeSet::from_nodes(tree.len(), [context_rank]);
-            !eval_relative_pre(tree, start, path).is_empty()
+            let start = NodeSet::from_nodes(tree.len(), [context]);
+            !eval_relative(tree, start, path).is_empty()
         }
         ResolvedPredicate::And(a, b) => {
-            eval_predicate(tree, context_rank, a) && eval_predicate(tree, context_rank, b)
+            eval_predicate(tree, context, a) && eval_predicate(tree, context, b)
         }
         ResolvedPredicate::Or(a, b) => {
-            eval_predicate(tree, context_rank, a) || eval_predicate(tree, context_rank, b)
+            eval_predicate(tree, context, a) || eval_predicate(tree, context, b)
         }
     }
 }
 
-/// Runs every step on rank-space sets with two ping-ponged buffers; both the
-/// input context and the result are in pre-order rank space.
-fn eval_relative_pre(tree: &Tree, mut current: NodeSet, path: &ResolvedPath<'_>) -> NodeSet {
+/// Runs every step with two ping-ponged buffers.
+fn eval_relative(tree: &Tree, mut current: NodeSet, path: &ResolvedPath<'_>) -> NodeSet {
     let mut next = NodeSet::empty(tree.len());
     for step in &path.steps {
-        eval_step_pre(tree, &current, step, &mut next);
+        eval_step(tree, &current, step, &mut next);
         std::mem::swap(&mut current, &mut next);
         if current.is_empty() {
             break;
@@ -217,60 +143,30 @@ fn eval_relative_pre(tree: &Tree, mut current: NodeSet, path: &ResolvedPath<'_>)
     current
 }
 
-/// The start context of `path` in rank space. The root always has pre-order
-/// rank 0.
-fn start_set_pre(tree: &Tree, path: &LocationPath, context: Option<&NodeSet>) -> NodeSet {
-    if path.absolute {
-        NodeSet::from_nodes(tree.len(), [NodeId::from_index(0)])
-    } else {
-        match context {
-            Some(set) => tree.to_pre_space(set),
-            None => NodeSet::full(tree.len()),
-        }
-    }
-}
-
-fn evaluate_path_with(
-    tree: &Tree,
-    sets: &LabelSets<'_>,
-    path: &LocationPath,
-    context: Option<&NodeSet>,
-) -> NodeSet {
-    let resolved = resolve_path(sets, path);
-    let start = start_set_pre(tree, path, context);
-    tree.from_pre_space(&eval_relative_pre(tree, start, &resolved))
-}
-
 /// Evaluates one location path. Absolute paths start at the root; relative
 /// paths start from `context` (or from every node if `context` is `None`).
 pub fn evaluate_path(tree: &Tree, path: &LocationPath, context: Option<&NodeSet>) -> NodeSet {
-    let sets = LabelSets::plain_for(tree, &[path]);
-    evaluate_path_with(tree, &sets, path, context)
+    let start = match (path.absolute, context) {
+        (true, _) => NodeSet::from_nodes(tree.len(), [tree.root()]),
+        (false, Some(set)) => set.clone(),
+        (false, None) => NodeSet::full(tree.len()),
+    };
+    eval_relative(tree, start, &resolve_path(tree, path))
 }
 
 /// Evaluates a full query (a union of paths). Absolute paths start at the
 /// root, relative paths at every node of the tree.
 pub fn evaluate_xpath(tree: &Tree, query: &XPathQuery) -> NodeSet {
-    let paths: Vec<&LocationPath> = query.paths.iter().collect();
-    let sets = LabelSets::plain_for(tree, &paths);
     let mut out = NodeSet::empty(tree.len());
     for path in &query.paths {
-        out.union_with(&evaluate_path_with(tree, &sets, path, None));
+        out.union_with(&evaluate_path(tree, path, None));
     }
     out
 }
 
-/// [`evaluate_xpath`] against a [`PreparedTree`]: label sets are borrowed
-/// straight from the tree's shared rank-space cache, so repeated
-/// evaluations (and evaluations of other queries over the same labels)
-/// convert — and copy — each label at most once per document epoch.
+/// [`evaluate_xpath`] against a [`PreparedTree`]'s tree.
 pub fn evaluate_xpath_prepared(prepared: &PreparedTree, query: &XPathQuery) -> NodeSet {
-    let sets = LabelSets::Prepared(prepared);
-    let mut out = NodeSet::empty(prepared.tree().len());
-    for path in &query.paths {
-        out.union_with(&evaluate_path_with(prepared.tree(), &sets, path, None));
-    }
-    out
+    evaluate_xpath(prepared.tree(), query)
 }
 
 #[cfg(test)]
@@ -373,15 +269,10 @@ mod tests {
         }
     }
 
-    /// The regression test for the hoisted label resolution: a predicate
-    /// applied to many candidates must not re-convert label sets per
-    /// candidate — the prepared tree's build counter stays flat no matter
-    /// how many candidates the predicate filter visits.
+    /// A predicate applied to many candidates: every A is a surviving
+    /// candidate of //A[B], and each borrows B's set from the tree.
     #[test]
-    fn label_conversions_stay_flat_across_predicate_candidates() {
-        // A root with many A children, each carrying a B child: every A is a
-        // surviving candidate of //A[B], so the old per-candidate evaluation
-        // would have re-converted B's label set once per candidate.
+    fn predicates_filter_many_candidates() {
         let mut b = TreeBuilder::new();
         let root = b.add_root(&["R"]);
         for _ in 0..64 {
@@ -392,12 +283,6 @@ mod tests {
         let query = parse_xpath("//A[B]").unwrap();
         let result = evaluate_xpath_prepared(&prepared, &query);
         assert_eq!(result.len(), 64);
-        // One conversion per distinct label of the query (A, B), not per
-        // candidate.
-        assert_eq!(prepared.label_set_builds(), 2);
-        // Further evaluations convert nothing at all.
-        evaluate_xpath_prepared(&prepared, &query);
-        evaluate_xpath_prepared(&prepared, &query);
-        assert_eq!(prepared.label_set_builds(), 2);
+        assert_eq!(result, evaluate_xpath(prepared.tree(), &query));
     }
 }
